@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 import mpmath as mp
@@ -39,6 +38,16 @@ def _parse_rational(text: str, name: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad rational for {name}: {text!r}") from exc
+
+
+def _positive_int(text: str, name: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise CliError(f"bad integer for {name}: {text!r}") from exc
+    if n < 1:
+        raise CliError(f"{name} must be >= 1, got {n}")
+    return n
 
 
 def _default_precision() -> int:
@@ -215,9 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cantorwalk",
         description="Exact Cantor-like construction, measures, and walks")
-    p.add_argument("--threads", type=int, default=1,
-                   help="cap on worker parallelism (current build is "
-                        "single-threaded; any cap is honored trivially)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("intervals", help="exact geometry of one cylinder")
@@ -241,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=lambda t: _parse_rational(t, "alpha"))
     sp.add_argument("--beta", type=lambda t: _parse_rational(t, "beta"))
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--paths", type=int, default=1)
+    sp.add_argument("--paths", type=lambda t: _positive_int(t, "paths"),
+                    default=1)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--checkpoints",
                     help="comma list; switches to a JSON transience summary")
@@ -253,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", required=True,
                     type=lambda t: _parse_rational(t, "alpha"))
     sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--paths", type=int, default=1)
+    sp.add_argument("--paths", type=lambda t: _positive_int(t, "paths"),
+                    default=1)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--gamma", type=lambda t: _parse_rational(t, "gamma"),
                     default=Fraction(3))

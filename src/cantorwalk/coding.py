@@ -12,8 +12,8 @@ virtual state 0 (the construction uses the convention k0 == 0).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 
 def is_admissible(symbols: Sequence[int]) -> bool:

@@ -7,6 +7,7 @@ they are evaluated directly in the log domain at any depth.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,13 +15,13 @@ import mpmath as mp
 import numpy as np
 
 from . import measure
-from .geometry import step_denominator
+from .geometry import q_value, step_arrays
 from .walks import WalkPath
 
 
 def _log_q(precision: int = 80) -> float:
     with mp.workprec(precision):
-        return float(mp.log(3 / mp.pi ** 2))
+        return float(mp.log(q_value(precision)))
 
 
 @dataclass
@@ -56,22 +57,12 @@ def dim_series(path_or_symbols, alpha, precision: int = 80) -> DimSeries:
     if symbols.size == 0:
         raise ValueError("empty prefix")
     alpha = Fraction(alpha)
-    beta = float(2 * alpha)
-    prev = np.concatenate(([0.0], symbols[:-1]))
-    nxt = symbols
-    diff = np.abs(nxt - prev)
-    ssum = nxt + prev
-    with np.errstate(divide="ignore"):
-        d = np.where(nxt == 0, prev, np.where(nxt == prev, 2 * prev, diff))
-        # kernel numerator f_i per step; discarded branches may hit 0**-beta
-        f = np.where(
-            nxt == 0, prev ** -beta,
-            np.where(nxt == prev, (2 * prev) ** -beta,
-                     diff ** -beta + ssum ** -beta))
+    d, s = step_arrays(np.concatenate(([0.0], symbols[:-1])), symbols)
     if np.any(d <= 0):
         raise ValueError("prefix is not admissible")
+    f = measure.numerator_array(d, s, float(2 * alpha))
+    log_q = _log_q(precision)
     with mp.workprec(precision):
-        log_q = float(mp.log(3 / mp.pi ** 2))
         log_2zb = float(mp.log(2 * measure.zeta(2 * alpha, precision)))
     nn = np.arange(1, symbols.size + 1, dtype=np.float64)
     log_len = nn * log_q - 2 * np.cumsum(np.log(d))
@@ -100,21 +91,30 @@ class PressureEstimate:
     lambda_trace: list[tuple[float, float]]  # (s, lambda(s)) evaluations
 
 
-def _legal_transitions(state_cutoff: int):
-    """Yield (m, l, d) over legal one-step transitions with symbols <= cutoff."""
-    for m in range(state_cutoff + 1):
-        for l in range(0 if m else 1, state_cutoff + 1):
-            yield m, l, step_denominator(m, l)
+def _transfer_matrix(state_cutoff: int, weight, illegal: float) -> np.ndarray:
+    """Matrix of weight(d(m, l)) over m, l <= state_cutoff, ``illegal``
+    where d = 0; built one row at a time to keep peak memory at one matrix.
+    """
+    l = np.arange(state_cutoff + 1)
+    out = np.empty((state_cutoff + 1, state_cutoff + 1))
+    with np.errstate(divide="ignore"):
+        for m in range(state_cutoff + 1):
+            d, _ = step_arrays(m, l)
+            out[m] = np.where(d > 0, weight(d), illegal)
+    return out
 
 
 def _log_weight_matrix(state_cutoff: int) -> np.ndarray:
     """Matrix of log(q/d^2) over legal transitions, -inf where illegal."""
-    k = state_cutoff
     log_q = _log_q()
-    lw = np.full((k + 1, k + 1), -np.inf)
-    for m, l, d in _legal_transitions(k):
-        lw[m, l] = log_q - 2 * np.log(d)
-    return lw
+    return _transfer_matrix(state_cutoff, lambda d: log_q - 2 * np.log(d),
+                            -np.inf)
+
+
+def _length_matrix(state_cutoff: int) -> np.ndarray:
+    """Matrix of q/d^2 over legal transitions, 0 where illegal."""
+    q = float(q_value(80))
+    return _transfer_matrix(state_cutoff, lambda d: q / (d * d), 0.0)
 
 
 def _spectral_radius(weights: np.ndarray, tol: float = 1e-12,
@@ -136,13 +136,6 @@ def _spectral_radius(weights: np.ndarray, tol: float = 1e-12,
     raise ArithmeticError("power iteration did not converge")
 
 
-def pressure_lambda(state_cutoff: int, s: float,
-                    power_tol: float = 1e-12) -> float:
-    """Spectral radius of the length-transfer matrix at exponent s."""
-    lw = _log_weight_matrix(state_cutoff)
-    return _spectral_radius(np.exp(s * lw), tol=power_tol)
-
-
 def pressure_dimension(state_cutoff: int, tolerance: float = 1e-6,
                        power_tol: float = 1e-12) -> PressureEstimate:
     """Solve spectral-radius(T_s) = 1 by bisection.
@@ -154,6 +147,8 @@ def pressure_dimension(state_cutoff: int, tolerance: float = 1e-6,
     """
     if state_cutoff < 1:
         raise ValueError("state_cutoff must be >= 1")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     lw = _log_weight_matrix(state_cutoff)
     trace: list[tuple[float, float]] = []
 
@@ -172,6 +167,8 @@ def pressure_dimension(state_cutoff: int, tolerance: float = 1e-6,
             raise ArithmeticError("no bracket: state_cutoff too small")
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
+        if mid in (lo, hi):  # [lo, hi] is down to adjacent floats
+            break
         if lam(mid) < 1.0:
             hi = mid
         else:
@@ -205,18 +202,14 @@ def lebesgue_mass_decay(depth: int, state_cutoff: int) -> LebesgueDecay:
     if depth < 1 or state_cutoff < 2:
         raise ValueError("need depth >= 1 and state_cutoff >= 2")
     kmax = state_cutoff
+    q = float(q_value(80))
     with mp.workprec(80):
-        q = float(3 / mp.pi ** 2)
         zeta2 = float(mp.pi ** 2 / 6)
-    w = np.zeros((kmax + 1, kmax + 1))
-    for m, l, d in _legal_transitions(kmax):
-        w[m, l] = q / (d * d)
+    w = _length_matrix(kmax)
     # tail bound for dropped left-block children of state k
     tail = np.array([zeta2 if kmax - k == 0 else 1.0 / (kmax - k)
                      for k in range(kmax + 1)])
-    v = np.zeros(kmax + 1)
-    for l in range(1, kmax + 1):
-        v[l] = q / l ** 2
+    v = w[0].copy()  # level 1: the root steps like state 0
     dropped = q * 1.0 / kmax  # root children with symbol > cutoff
     levels = [float(v.sum())]
     bounds = [dropped]

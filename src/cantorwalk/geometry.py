@@ -34,16 +34,6 @@ def q_value(precision: int = DEFAULT_PRECISION):
         return 3 / mp.pi ** 2
 
 
-def q_interval(precision: int = DEFAULT_PRECISION):
-    """Rigorous enclosure of q as an mpmath interval."""
-    old = mp.iv.prec
-    try:
-        mp.iv.prec = precision
-        return mp.iv.mpf(3) / mp.iv.pi ** 2
-    finally:
-        mp.iv.prec = old
-
-
 def _frac_iv(x: Fraction):
     return mp.iv.mpf(x.numerator) / mp.iv.mpf(x.denominator)
 
@@ -92,7 +82,7 @@ class QPolynomial:
     def evaluate(self, precision: int = DEFAULT_PRECISION):
         """Plain mpf evaluation at q (error within a few ulps of 2^-precision)."""
         with mp.workprec(precision + 10):
-            q = 3 / mp.pi ** 2
+            q = q_value(precision + 10)
             acc = mp.mpf(0)
             for j, c in self.coeffs:
                 acc += mp.mpf(c.numerator) / c.denominator * q ** j
@@ -136,25 +126,28 @@ class QPolynomial:
         return [[j, c.numerator, c.denominator] for j, c in self.coeffs]
 
 
-def step_denominator(prev: int, next_: int) -> int:
-    """Denominator d of one construction step: child length = q*|parent|/d^2."""
-    prev, next_ = int(prev), int(next_)
-    if prev < 0 or next_ < 0:
-        raise ValueError("symbols must be non-negative")
-    if prev == 0 and next_ == 0:
-        raise ValueError("state 0 must renew itself")
-    if next_ == 0:
-        return prev
-    if next_ == prev:
-        return 2 * prev
-    return abs(next_ - prev)
+def step_arrays(prev, nxt):
+    """The step rule from symbol ``prev`` to symbol ``nxt``, as (d, s).
+
+    ``d`` is the length denominator, child length = q*|parent|/d^2: |nxt -
+    prev| on an ordinary step, 2*prev on a repetition and prev on a renewal
+    (nxt = 0); d = 0 marks the illegal step 0 -> 0.  ``s`` is prev + nxt on
+    an ordinary step and 0 otherwise, so the kernel numerator is
+    d^-beta + s^-beta with the s term only where s > 0.
+
+    Branch-free, so the same code is exact on Python ints (any size) and
+    runs elementwise on int64 and float64 arrays.
+    """
+    d = abs(nxt - prev) + 2 * prev * (nxt == prev)
+    s = (nxt + prev) * (nxt != prev) * (nxt != 0)
+    return d, s
 
 
 def cylinder_length(word: AdmissibleWord) -> tuple[Fraction, int]:
     """Exact length |I_word| = r * q^n; returns (r, n)."""
     r = Fraction(1)
     for prev, nxt in word.transitions():
-        d = step_denominator(prev, nxt)
+        d, _ = step_arrays(prev, nxt)
         r /= d * d
     return r, word.depth
 
@@ -273,7 +266,7 @@ def left_block_partition_bracket(word: AdmissibleWord, truncation: int,
         raise ValueError("truncation must be >= 1")
     r, n = cylinder_length(word)
     with mp.workprec(precision):
-        q = 3 / mp.pi ** 2
+        q = q_value(precision)
         length = mp.mpf(r.numerator) / r.denominator * q ** n
         key = (truncation, precision)
         h = _H_FLOAT_CACHE.get(key)

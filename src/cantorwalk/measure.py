@@ -8,19 +8,18 @@ directly from the same structure.
 """
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 
 from .coding import AdmissibleWord
+from .geometry import step_arrays
 
 DEFAULT_PRECISION = 256
 
 _ZETA_CACHE: dict[tuple[str, int], mp.mpf] = {}
-_ZETA_LOCK = threading.Lock()
 
 
 class ZetaDomainError(ValueError):
@@ -83,8 +82,7 @@ def zeta(s, precision: int = DEFAULT_PRECISION):
             n *= 2
         else:
             raise ArithmeticError("zeta: Euler-Maclaurin did not converge")
-    with _ZETA_LOCK:
-        _ZETA_CACHE[key] = result
+    _ZETA_CACHE[key] = result
     return result
 
 
@@ -119,33 +117,38 @@ def _beta_mpf(params: MeasureParams):
     return mp.mpf(b.numerator) / b.denominator
 
 
+def _numerator(d: int, s: int, beta):
+    """Kernel numerator of one step (d, s) of ``geometry.step_arrays`` as an
+    mpf at the working precision: d^-beta, plus s^-beta where s > 0; 0 for
+    the illegal step (d = 0)."""
+    return sum(mp.mpf(x) ** (-beta) for x in (d, s) if x)
+
+
+def numerator_array(d, s, beta: float) -> np.ndarray:
+    """float64 kernel numerators of step arrays (d, s), elementwise as in
+    ``_numerator``: a zero entry contributes inf^-beta = 0."""
+    d, s = (np.where(x > 0, x, np.inf) for x in (d, s))
+    return d ** -beta + s ** -beta
+
+
 def transition_prob(m: int, l: int, params: MeasureParams):
     """Kernel value P(next = l | state = m) of the walk on the non-negative
     integers; exactly 0 for m = l = 0."""
     m, l = int(m), int(l)
     if m < 0 or l < 0:
         raise ValueError("states must be non-negative")
-    if m == 0 and l == 0:
-        return mp.mpf(0)
     with mp.workprec(params.precision):
-        beta = _beta_mpf(params)
         z = zeta(params.beta, params.precision)
-        if l == 0:
-            val = mp.mpf(m) ** (-beta)
-        elif l == m:
-            val = mp.mpf(2 * m) ** (-beta)
-        else:
-            val = mp.mpf(abs(l - m)) ** (-beta) + mp.mpf(l + m) ** (-beta)
-        return val / (2 * z)
+        return _numerator(*step_arrays(m, l), _beta_mpf(params)) / (2 * z)
 
 
 @dataclass(frozen=True)
 class CylinderMass:
     """Structural mass of a cylinder: depth plus integer step descriptors.
 
-    Each factor is ("pair", d, s), ("diag", m) or ("zero", m) and evaluates
-    to d^-2a + s^-2a, (2m)^-2a or m^-2a; the mass is (2 zeta(2a))^-n times
-    the product of the factors.
+    Each factor is the (d, s) pair of ``geometry.step_arrays`` for one step
+    and evaluates to the kernel numerator d^-2a + s^-2a (no s term where
+    s = 0); the mass is (2 zeta(2a))^-n times the product of the factors.
     """
 
     word: AdmissibleWord
@@ -156,22 +159,17 @@ class CylinderMass:
     def depth(self) -> int:
         return len(self.factors)
 
-    def _factor_values(self, precision: int):
+    def _factor_values(self):
         beta = _beta_mpf(self.params)
-        for f in self.factors:
-            if f[0] == "pair":
-                yield mp.mpf(f[1]) ** (-beta) + mp.mpf(f[2]) ** (-beta)
-            elif f[0] == "diag":
-                yield mp.mpf(2 * f[1]) ** (-beta)
-            else:
-                yield mp.mpf(f[1]) ** (-beta)
+        for d, s in self.factors:
+            yield _numerator(d, s, beta)
 
     def value(self, precision: int | None = None):
         precision = precision or self.params.precision
         with mp.workprec(precision):
             z = zeta(self.params.beta, precision)
             acc = mp.mpf(1)
-            for v in self._factor_values(precision):
+            for v in self._factor_values():
                 acc *= v / (2 * z)
             return acc
 
@@ -182,7 +180,7 @@ class CylinderMass:
         with mp.workprec(precision):
             z = zeta(self.params.beta, precision)
             acc = -self.depth * mp.log(2 * z)
-            for v in self._factor_values(precision):
+            for v in self._factor_values():
                 acc += mp.log(v)
             return acc
 
@@ -192,15 +190,8 @@ class CylinderMass:
 
 def cylinder_mass(word: AdmissibleWord, params: MeasureParams) -> CylinderMass:
     """Structural mass of I_word; the root has mass exactly 1."""
-    factors = []
-    for prev, nxt in word.transitions():
-        if nxt == 0:
-            factors.append(("zero", prev))
-        elif nxt == prev:
-            factors.append(("diag", prev))
-        else:
-            factors.append(("pair", abs(nxt - prev), nxt + prev))
-    return CylinderMass(word=word, params=params, factors=tuple(factors))
+    factors = tuple(step_arrays(prev, nxt) for prev, nxt in word.transitions())
+    return CylinderMass(word=word, params=params, factors=factors)
 
 
 def power_tail_bracket(beta, start: int, precision: int = DEFAULT_PRECISION):
@@ -250,25 +241,16 @@ def consistency_defect(word: AdmissibleWord, params: MeasureParams,
     beta = float(_beta_mpf(params))
     z_lo, z_hi = (float(v) for v in zeta_bracket(params.beta, prec))
     parent = float(cylinder_mass(word, params).value(max(prec, 64)))
-    l = np.arange(1, truncation + 1, dtype=np.float64)
-    if k == 0:
-        row = float(np.sum(l ** -beta))  # each child kernel is 2 l^-b / (2z)
-        t_lo, t_hi = power_tail_bracket(params.beta, truncation + 1, prec)
-        tail_lo = parent * float(t_lo) / z_hi
-        tail_hi = parent * float(t_hi) / z_lo
-        p_lo = parent * row / z_hi
-        p_hi = parent * row / z_lo
-    else:
-        with np.errstate(divide="ignore"):
-            terms = np.abs(l - k) ** -beta + (l + k) ** -beta
-        terms[k - 1] = (2 * k) ** -beta  # the diagonal child l = k
-        row = float(np.sum(terms)) + float(k) ** -beta  # plus l = 0
-        lo1, hi1 = power_tail_bracket(params.beta, truncation + 1 - k, prec)
-        lo2, hi2 = power_tail_bracket(params.beta, truncation + 1 + k, prec)
-        tail_lo = parent * (float(lo1) + float(lo2)) / (2 * z_hi)
-        tail_hi = parent * (float(hi1) + float(hi2)) / (2 * z_lo)
-        p_lo = parent * row / (2 * z_hi)
-        p_hi = parent * row / (2 * z_lo)
+    l = np.arange(truncation + 1, dtype=np.float64)
+    terms = numerator_array(*step_arrays(k, l), beta)
+    # children l = 1..truncation first, then l = 0 (nothing after state 0)
+    row = float(np.sum(terms[1:])) + float(terms[0])
+    lo1, hi1 = power_tail_bracket(params.beta, truncation + 1 - k, prec)
+    lo2, hi2 = power_tail_bracket(params.beta, truncation + 1 + k, prec)
+    tail_lo = parent * (float(lo1) + float(lo2)) / (2 * z_hi)
+    tail_hi = parent * (float(hi1) + float(hi2)) / (2 * z_lo)
+    p_lo = parent * row / (2 * z_hi)
+    p_hi = parent * row / (2 * z_lo)
     # float64 summation slack plus the zeta-enclosure width of the partial sum
     slack = 8 * truncation * np.finfo(float).eps * max(p_hi, parent)
     partial = (p_lo + p_hi) / 2

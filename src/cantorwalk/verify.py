@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from . import dimension, geometry, measure, walks
@@ -322,8 +321,7 @@ def _brute_force_level_masses(depth: int, cutoff: int) -> list[float]:
     from .coding import children
     from .geometry import cylinder_length
 
-    with mp.workprec(80):
-        q = float(3 / mp.pi ** 2)
+    q = float(geometry.q_value(80))
     level = [AdmissibleWord()]
     out = []
     for _ in range(depth):

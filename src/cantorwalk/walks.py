@@ -48,8 +48,8 @@ class ZetaJumpSampler:
 
     def __init__(self, beta, table_size: int = TABLE_SIZE):
         beta = Fraction(beta)
-        if not (1 < beta < 2):
-            raise ValueError(f"beta must lie in (1, 2), got {beta}")
+        if not (1 < beta <= 2):
+            raise ValueError(f"beta must lie in (1, 2], got {beta}")
         self.beta = beta
         self.beta_f = float(beta)
         self.zeta_beta = float(measure.zeta(beta, 80))
@@ -104,11 +104,6 @@ class ZetaJumpSampler:
         return mag * sign
 
 
-def sample_zeta_jump(beta, rng: np.random.Generator) -> int:
-    """One signed zeta jump (nonzero integer, sign uniform)."""
-    return int(ZetaJumpSampler.cached(beta).sample_signed(rng, 1)[0])
-
-
 @dataclass(frozen=True)
 class WalkParams:
     """Configuration of one simulated walk."""
@@ -140,10 +135,6 @@ class WalkParams:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
-    @property
-    def jump_beta(self) -> Fraction:
-        return self.beta
-
 
 @dataclass
 class WalkPath:
@@ -164,10 +155,7 @@ class WalkPath:
 
 
 def _signed_states(params: WalkParams, rng: np.random.Generator):
-    b = params.jump_beta
-    if b == 2:
-        raise ValueError("beta = 2 has no zeta-jump sampler (boundary case)")
-    sampler = ZetaJumpSampler.cached(b)
+    sampler = ZetaJumpSampler.cached(params.beta)
     jumps = sampler.sample_signed(rng, params.steps)
     states = np.concatenate(([0.0], np.cumsum(jumps)))
     return states, jumps
@@ -184,27 +172,14 @@ def simulate_path(params: WalkParams, path_id: int = 0) -> WalkPath:
     return WalkPath(params=params, path_id=path_id, states=states, jumps=jumps)
 
 
-def step(kind: str, state: int, beta, rng: np.random.Generator) -> int:
-    """One transition of the given walk kind from ``state``.
-
-    For the folded and dissipative kinds this samples |state + l| with l a
-    signed zeta jump, which realizes the kernel exactly (for the
-    dissipative kind beta is the doubled exponent 2*alpha).
-    """
-    l = sample_zeta_jump(beta, rng)
-    if kind == "cauchy_Z":
-        return state + l
-    if state < 0:
-        raise ValueError("folded/dissipative state must be >= 0")
-    return abs(state + l)
-
-
 def folded_kernel_identity(beta, m_max: int, precision: int = 256) -> float:
     """Max |folded kernel - dissipative kernel| over states m, l <= m_max.
 
-    The folded-walk conditionals are computed directly from zeta(beta); the
-    dissipative kernel comes from the measure module at alpha = beta/2.
-    Analytically the difference is zero, so only rounding remains.
+    The folded side comes from the signed-jump law alone: P(|m + L| = l) is
+    the sum of p(j) = |j|^-beta / (2 zeta(beta)), p(0) = 0, over the jumps
+    j in {l - m, -l - m} (one jump when l = 0).  The dissipative kernel
+    comes from the measure module at alpha = beta/2.  The folding identity
+    makes them equal, so only rounding remains.
     """
     beta = Fraction(beta)
     if not (1 < beta < 2):
@@ -215,18 +190,14 @@ def folded_kernel_identity(beta, m_max: int, precision: int = 256) -> float:
     with mp.workprec(precision):
         b = mp.mpf(beta.numerator) / beta.denominator
         z = measure.zeta(beta, precision)
+
+        def p(j: int):
+            return mp.mpf(abs(j)) ** (-b) / (2 * z) if j else mp.mpf(0)
+
         worst = mp.mpf(0)
         for m in range(m_max + 1):
             for l in range(m_max + 1):
-                if m == 0 and l == 0:
-                    folded = mp.mpf(0)
-                elif l == 0:
-                    folded = mp.mpf(m) ** (-b) / (2 * z)
-                elif l == m:
-                    folded = mp.mpf(2 * m) ** (-b) / (2 * z)
-                else:
-                    folded = (mp.mpf(abs(m - l)) ** (-b)
-                              + mp.mpf(m + l) ** (-b)) / (2 * z)
+                folded = sum(p(j) for j in {l - m, -l - m})
                 diff = abs(folded - measure.transition_prob(m, l, params))
                 if diff > worst:
                     worst = diff
@@ -252,19 +223,24 @@ def transience_stats(params: WalkParams, n_paths: int,
     """Monte Carlo transience diagnostics for the dissipative walk."""
     if params.kind != "dissipative":
         raise ValueError("transience_stats expects a dissipative walk")
-    checkpoints = sorted(int(t) for t in checkpoints)
-    if checkpoints and checkpoints[-1] >= params.steps:
-        raise ValueError("checkpoints must be < steps")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    checkpoints = sorted({int(t) for t in checkpoints})
+    if checkpoints and not (0 <= checkpoints[0]
+                            and checkpoints[-1] < params.steps):
+        raise ValueError("checkpoints must lie in [0, steps)")
+    ends = checkpoints[1:] + [params.steps + 1]
     returns = {t: 0 for t in checkpoints}
     escapes = {t: {thr: 0 for thr in thresholds} for t in checkpoints}
     states_at = {t: np.empty(n_paths) for t in checkpoints}
     for i in range(n_paths):
         path = simulate_path(params, path_id=i)
         s = path.states
-        # suffix minima, computed once right-to-left
-        for t in checkpoints:
-            tail = s[t:]
-            m = tail.min()
+        # suffix minima, computed once right-to-left: min(s[t:]) is the
+        # running minimum of the segments [t, next checkpoint)
+        m = np.inf
+        for t, end in zip(checkpoints[::-1], ends[::-1]):
+            m = min(m, s[t:end].min())
             if m == 0:
                 returns[t] += 1
             for thr in thresholds:

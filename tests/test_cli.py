@@ -125,3 +125,47 @@ def test_bad_word_is_a_clean_error(capsys):
     code, _, err = run(capsys, "intervals", "--word", "0,1")
     assert code == 2
     assert "error" in json.loads(err)
+
+
+WALK = ("walk", "--kind", "dissipative", "--alpha", "3/4", "--steps", "10",
+        "--seed", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("pressure", "--cutoff", "2", "--tol", "0"),
+    ("pressure", "--cutoff", "2", "--tol", "-1"),
+    ("pressure", "--cutoff", "2", "--tol", "nan"),
+    ("pressure", "--cutoff", "2", "--tol", "inf"),
+    WALK + ("--checkpoints", "5", "--paths", "0"),
+    WALK + ("--paths", "-1"),
+    WALK + ("--paths", "two"),
+    ("dim", "--alpha", "3/4", "--depth", "10", "--seed", "1", "--paths", "0"),
+])
+def test_bad_inputs_are_clean_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert set(json.loads(err)) == {"error", "message"}
+
+
+def test_pressure_tolerance_below_float_spacing_returns(capsys):
+    # bisection stops once [lo, hi] are adjacent floats
+    code, out, _ = run(capsys, "pressure", "--cutoff", "1", "--tol", "1e-300")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["s_star"] == pytest.approx(0.2797110465, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("walk", "--kind", "dissipative", "--alpha", "1", "--allow-boundary"),
+    ("walk", "--kind", "cauchy_Z", "--beta", "2"),
+    ("walk", "--kind", "folded", "--beta", "2"),
+])
+def test_beta_two_boundary_runs(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--steps", "20", "--paths", "2",
+                       "--seed", "3")
+    assert code == 0
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert lines[0] == "path_id,step,state"
+    rows = [tuple(map(int, l.split(","))) for l in lines[1:]]
+    assert [(p, n) for p, n, _ in rows] == [
+        (p, n) for p in range(2) for n in range(21)]

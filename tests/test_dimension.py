@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from cantorwalk.dimension import (
+    _length_matrix,
+    _log_weight_matrix,
     dim_series,
     furstenberg_ratio_check,
     lebesgue_mass_decay,
     pressure_dimension,
-    pressure_lambda,
 )
 from cantorwalk.coding import AdmissibleWord, children
 from cantorwalk.geometry import cylinder_length, q_value
@@ -81,31 +82,59 @@ def test_pressure_k1_closed_form():
     assert est.s_star == pytest.approx(0.2797110465, abs=1e-7)
 
 
-def test_pressure_lambda_matches_eigvals_oracle():
+def loop_denominators(cutoff):
+    """Reference step denominators d[a][b], written out case by case; None
+    for the illegal step 0 -> 0."""
+    d = [[None] * (cutoff + 1) for _ in range(cutoff + 1)]
+    for a in range(cutoff + 1):
+        for b in range(cutoff + 1):
+            if a == 0 and b == 0:
+                continue
+            if b == 0:
+                d[a][b] = a
+            elif b == a:
+                d[a][b] = 2 * a
+            else:
+                d[a][b] = abs(b - a)
+    return d
+
+
+def test_lambda_trace_matches_eigvals_oracle():
     q = float(q_value(80))
     for cutoff in (1, 2, 3):
-        for s in (0.3, 0.7, 1.0):
+        d = loop_denominators(cutoff)
+        for s, lam in pressure_dimension(cutoff).lambda_trace:
             m = np.zeros((cutoff + 1, cutoff + 1))
             for a in range(cutoff + 1):
                 for b in range(cutoff + 1):
-                    if a == 0 and b == 0:
-                        continue
-                    if b == 0:
-                        d = a
-                    elif b == a:
-                        d = 2 * a
-                    else:
-                        d = abs(b - a)
-                    m[a, b] = (q / d ** 2) ** s
+                    if d[a][b] is not None:
+                        m[a, b] = (q / d[a][b] ** 2) ** s
             oracle = float(np.max(np.abs(np.linalg.eigvals(m))))
-            assert pressure_lambda(cutoff, s) == pytest.approx(
-                oracle, rel=1e-9)
+            assert lam == pytest.approx(oracle, rel=1e-9)
 
 
-def test_pressure_lambda_decreasing_in_s():
-    vals = [pressure_lambda(5, s) for s in (0.2, 0.5, 0.8, 1.0)]
+def test_lambda_trace_decreasing_in_s():
+    trace = sorted(pressure_dimension(5).lambda_trace)
+    vals = [lam for _, lam in trace]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < 1.0
+    assert dict(trace)[1.0] < 1.0
+
+
+def test_transfer_matrices_match_loop_reference():
+    q = float(q_value(80))
+    with mp.workprec(80):
+        log_q = float(mp.log(q_value(80)))
+    for cutoff in (1, 2, 5, 17, 50):
+        d = loop_denominators(cutoff)
+        lw = np.full((cutoff + 1, cutoff + 1), -np.inf)
+        w = np.zeros((cutoff + 1, cutoff + 1))
+        for a in range(cutoff + 1):
+            for b in range(cutoff + 1):
+                if d[a][b] is not None:
+                    lw[a, b] = log_q - 2 * np.log(d[a][b])
+                    w[a, b] = q / (d[a][b] * d[a][b])
+        assert np.array_equal(_log_weight_matrix(cutoff), lw)
+        assert np.array_equal(_length_matrix(cutoff), w)
 
 
 def test_pressure_s_star_increasing_in_cutoff():

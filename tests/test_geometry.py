@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from cantorwalk.coding import AdmissibleWord, children
@@ -12,8 +13,9 @@ from cantorwalk.geometry import (
     left_block_partition_bracket,
     phi_apply,
     q_value,
-    step_denominator,
+    step_arrays,
 )
+from cantorwalk.measure import MeasureParams, transition_prob, zeta
 
 # q = 3/pi^2 to 16 digits, checked against an unrelated route below
 Q_REF = 0.3039635509270133
@@ -31,13 +33,31 @@ def test_q_value():
     assert 1.0 / (2 * acc) == pytest.approx(Q_REF, abs=1e-5)
 
 
-def test_step_denominator_cases():
-    assert step_denominator(2, 5) == 3
-    assert step_denominator(1, 1) == 2
-    assert step_denominator(4, 0) == 4
-    assert step_denominator(0, 7) == 7
-    with pytest.raises(ValueError):
-        step_denominator(0, 0)
+def test_step_arrays_cases():
+    # (prev, next) -> (d, s): ordinary, repetition, renewal, from 0, illegal
+    cases = {(2, 5): (3, 7), (1, 1): (2, 0), (4, 0): (4, 0), (0, 7): (7, 7),
+             (0, 0): (0, 0)}
+    for (prev, nxt), ds in cases.items():
+        assert step_arrays(prev, nxt) == ds
+    prev, nxt = (np.array([p for p, _ in cases]),
+                 np.array([n for _, n in cases]))
+    for dtype in (np.int64, np.float64):
+        d, s = step_arrays(prev.astype(dtype), nxt.astype(dtype))
+        assert d.tolist() == [d for d, _ in cases.values()]
+        assert s.tolist() == [s for _, s in cases.values()]
+    # 10**20 - 1 and 10**20 + 1 exceed int64 and round to 1e20 in float64,
+    # so scalar callers must keep Python ints
+    big = 10 ** 20
+    d, s = step_arrays(1, big)
+    assert (d, s) == (big - 1, big + 1) and type(d) is int
+    assert cylinder_length(AdmissibleWord((1, big))) == (
+        Fraction(1, (big - 1) ** 2), 2)
+    params = MeasureParams(alpha=Fraction(3, 4), precision=256)
+    with mp.workprec(256):
+        b = mp.mpf(3) / 2
+        expected = ((mp.mpf(big - 1) ** -b + mp.mpf(big + 1) ** -b)
+                    / (2 * zeta(Fraction(3, 2), 256)))
+    assert transition_prob(big, 1, params) == expected
 
 
 def test_cylinder_length_examples():

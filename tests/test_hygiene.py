@@ -1,0 +1,43 @@
+"""Every module under src/cantorwalk uses every name it imports.
+
+A stdlib-only stand-in for a linter's unused-import rule: a name counts as
+used when it is loaded anywhere in the module (annotations included) or,
+in a package ``__init__``, listed in ``__all__``.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cantorwalk"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_an_unused_import():
+    assert unused_imports("from dataclasses import dataclass, field\n"
+                          "@dataclass\nclass A: pass\n") == ["field (line 1)"]

@@ -11,9 +11,7 @@ from cantorwalk.walks import (
     gamma_envelope_violations,
     increment_tail_prob,
     path_rng,
-    sample_zeta_jump,
     simulate_path,
-    step,
     transience_stats,
 )
 
@@ -21,15 +19,16 @@ B32 = Fraction(3, 2)
 
 
 def test_sampler_small_magnitude_frequencies():
-    rng = path_rng(7, 0)
     n = 200000
-    mags = ZetaJumpSampler.cached(B32).sample_abs(rng, n)
-    z = float(zeta(B32, 80))
-    for j in (1, 2, 3, 10):
-        p = j ** -1.5 / z
-        freq = float(np.mean(mags == j))
-        sigma = (p * (1 - p) / n) ** 0.5
-        assert abs(freq - p) < 4 * sigma + 1e-9
+    for beta in (B32, Fraction(2)):  # beta = 2 is the alpha = 1 boundary
+        rng = path_rng(7, 0)
+        mags = ZetaJumpSampler.cached(beta).sample_abs(rng, n)
+        z = float(zeta(beta, 80))
+        for j in (1, 2, 3, 10):
+            p = j ** -float(beta) / z
+            freq = float(np.mean(mags == j))
+            sigma = (p * (1 - p) / n) ** 0.5
+            assert abs(freq - p) < 4 * sigma + 1e-9
 
 
 def test_sampler_tail_mass():
@@ -51,6 +50,7 @@ def test_sampler_sign_balance():
     n = 100000
     signed = ZetaJumpSampler.cached(B32).sample_signed(rng, n)
     assert np.all(signed != 0)
+    assert np.array_equal(signed, np.trunc(signed))  # integer-valued
     frac_pos = float(np.mean(signed > 0))
     assert abs(frac_pos - 0.5) < 4 * (0.25 / n) ** 0.5
 
@@ -59,14 +59,16 @@ def test_sampler_rejects_bad_beta():
     with pytest.raises(ValueError):
         ZetaJumpSampler(Fraction(1))
     with pytest.raises(ValueError):
-        ZetaJumpSampler(Fraction(2))
+        ZetaJumpSampler(Fraction(5, 2))
 
 
 def test_scalar_jump_is_nonzero_integer():
     rng = path_rng(17, 0)
+    sampler = ZetaJumpSampler.cached(B32)
     for _ in range(100):
-        j = sample_zeta_jump(B32, rng)
-        assert isinstance(j, int) and j != 0
+        x = sampler.sample_signed(rng, 1)[0]
+        j = int(x)
+        assert j == x and j != 0
 
 
 def test_paths_are_reproducible():
@@ -98,10 +100,15 @@ def test_dissipative_states_nonnegative_and_never_stick_at_zero():
     assert not np.any(np.diff(zeros) == 1) if zeros.size > 1 else True
 
 
+def one_step(m, rng):
+    """|m + L| for one signed zeta jump L: one step of the folded walk."""
+    return abs(m + int(ZetaJumpSampler.cached(B32).sample_signed(rng, 1)[0]))
+
+
 def test_step_matches_kernel_from_zero():
     rng = path_rng(21, 0)
     for _ in range(200):
-        s = step("dissipative", 0, B32, rng)
+        s = one_step(0, rng)
         assert s >= 1
 
 
@@ -126,7 +133,7 @@ def test_empirical_one_step_matches_kernel():
     params = MeasureParams(alpha=Fraction(3, 4), precision=80)
     rng = path_rng(31, 0)
     n = 100000
-    nexts = np.array([step("dissipative", 2, B32, rng) for _ in range(n)])
+    nexts = np.array([one_step(2, rng) for _ in range(n)])
     for l in (0, 1, 2, 3, 5):
         p = float(transition_prob(2, l, params))
         freq = float(np.mean(nexts == l))
@@ -172,3 +179,16 @@ def test_transience_stats_shape_and_trend():
     assert all(0 <= v <= 1 for v in fr.values())
     q = rep.state_quantiles[1000]
     assert q["q05"] <= q["q50"] <= q["q95"]
+    # reference: each suffix minimum scanned on its own
+    tails = [simulate_path(params, i).states for i in range(200)]
+    for t in (10, 100, 1000):
+        assert fr[t] == sum(s[t:].min() == 0 for s in tails) / 200
+        for thr in (1, 10, 100):
+            assert rep.escape_fraction[t][thr] == sum(
+                s[t:].min() >= thr for s in tails) / 200
+    # a repeated checkpoint is counted once
+    assert transience_stats(params, 200, [100, 10, 100]).return_fraction == {
+        10: fr[10], 100: fr[100]}
+    for n_paths, cps in ((0, [10]), (5, [-1]), (5, [2000])):
+        with pytest.raises(ValueError):
+            transience_stats(params, n_paths, cps)
