@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -23,11 +22,16 @@ from . import __version__, dimension, geometry, measure, verify, walks
 from .coding import AdmissibleWord
 from .measure import MeasureParams
 
-ENV_PRECISION = "CANTORWALK_PRECISION"
-
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise CliError, so they too become the JSON error."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _parse_rational(text: str, name: str) -> Fraction:
@@ -40,18 +44,14 @@ def _parse_rational(text: str, name: str) -> Fraction:
         raise CliError(f"bad rational for {name}: {text!r}") from exc
 
 
-def _positive_int(text: str, name: str) -> int:
+def _int_at_least(text: str, name: str, minimum: int) -> int:
     try:
         n = int(text)
     except ValueError as exc:
         raise CliError(f"bad integer for {name}: {text!r}") from exc
-    if n < 1:
-        raise CliError(f"{name} must be >= 1, got {n}")
+    if n < minimum:
+        raise CliError(f"{name} must be >= {minimum}, got {n}")
     return n
-
-
-def _default_precision() -> int:
-    return int(os.environ.get(ENV_PRECISION, geometry.DEFAULT_PRECISION))
 
 
 def _meta(args: argparse.Namespace) -> dict:
@@ -60,13 +60,16 @@ def _meta(args: argparse.Namespace) -> dict:
     return {"tool": "cantorwalk", "version": __version__, "config": cfg}
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
+def _write(args, text: str) -> None:
+    if args.out:
         with open(args.out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload: dict) -> None:
+    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_csv(args, header: list[str], rows, meta: dict) -> None:
@@ -76,11 +79,7 @@ def _emit_csv(args, header: list[str], rows, meta: dict) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as f:
-            f.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(args, buf.getvalue())
 
 
 def cmd_intervals(args) -> int:
@@ -221,14 +220,16 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cantorwalk",
         description="Exact Cantor-like construction, measures, and walks")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("intervals", help="exact geometry of one cylinder")
     sp.add_argument("--word", required=True, help='e.g. "1,0,2"')
-    sp.add_argument("--precision", type=int, default=_default_precision())
+    # bits, at least float64's 53
+    sp.add_argument("--precision", default=geometry.DEFAULT_PRECISION,
+                    type=lambda t: _int_at_least(t, "precision", 53))
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_intervals)
 
@@ -236,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word", required=True)
     sp.add_argument("--alpha", required=True,
                     type=lambda t: _parse_rational(t, "alpha"))
-    sp.add_argument("--precision", type=int, default=_default_precision())
+    sp.add_argument("--precision", default=geometry.DEFAULT_PRECISION,
+                    type=lambda t: _int_at_least(t, "precision", 53))
     sp.add_argument("--truncation", type=int, default=10 ** 4)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_measure)
@@ -247,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=lambda t: _parse_rational(t, "alpha"))
     sp.add_argument("--beta", type=lambda t: _parse_rational(t, "beta"))
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--paths", type=lambda t: _positive_int(t, "paths"),
-                    default=1)
+    sp.add_argument("--paths", default=1,
+                    type=lambda t: _int_at_least(t, "paths", 1))
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--checkpoints",
                     help="comma list; switches to a JSON transience summary")
@@ -260,12 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", required=True,
                     type=lambda t: _parse_rational(t, "alpha"))
     sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--paths", type=lambda t: _positive_int(t, "paths"),
-                    default=1)
+    sp.add_argument("--paths", default=1,
+                    type=lambda t: _int_at_least(t, "paths", 1))
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--gamma", type=lambda t: _parse_rational(t, "gamma"),
-                    default=Fraction(3))
-    sp.add_argument("--n0", type=int, default=1000)
     sp.add_argument("--rows-per-path", type=int, default=100)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_dim)

@@ -18,6 +18,9 @@ from . import measure
 from .geometry import q_value, step_arrays
 from .walks import WalkPath
 
+_POWER_TOL = 1e-12  # relative change of lambda that stops power iteration
+_POWER_MAX_ITER = 100000
+
 
 def _log_q(precision: int = 80) -> float:
     with mp.workprec(precision):
@@ -117,27 +120,26 @@ def _length_matrix(state_cutoff: int) -> np.ndarray:
     return _transfer_matrix(state_cutoff, lambda d: q / (d * d), 0.0)
 
 
-def _spectral_radius(weights: np.ndarray, tol: float = 1e-12,
-                     max_iter: int = 100000) -> float:
+def _spectral_radius(weights: np.ndarray) -> float:
     """Dominant eigenvalue of a non-negative matrix by power iteration."""
     n = weights.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = weights @ v
         norm = np.linalg.norm(w)
         if norm == 0:
             return 0.0
         lam_new = float(v @ w)
         v = w / norm
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new)):
             return lam_new
         lam = lam_new
     raise ArithmeticError("power iteration did not converge")
 
 
-def pressure_dimension(state_cutoff: int, tolerance: float = 1e-6,
-                       power_tol: float = 1e-12) -> PressureEstimate:
+def pressure_dimension(state_cutoff: int,
+                       tolerance: float = 1e-6) -> PressureEstimate:
     """Solve spectral-radius(T_s) = 1 by bisection.
 
     T_s[m, l] = (q / d(m, l)^2)^s over legal transitions with symbols
@@ -153,7 +155,7 @@ def pressure_dimension(state_cutoff: int, tolerance: float = 1e-6,
     trace: list[tuple[float, float]] = []
 
     def lam(s: float) -> float:
-        val = _spectral_radius(np.exp(s * lw), tol=power_tol)
+        val = _spectral_radius(np.exp(s * lw))
         trace.append((s, val))
         return val
 

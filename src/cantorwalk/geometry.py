@@ -52,10 +52,6 @@ class QPolynomial:
         return cls(items)
 
     @classmethod
-    def constant(cls, c) -> "QPolynomial":
-        return cls.from_dict({0: Fraction(c)})
-
-    @classmethod
     def monomial(cls, degree: int, c) -> "QPolynomial":
         return cls.from_dict({degree: Fraction(c)})
 
@@ -74,10 +70,6 @@ class QPolynomial:
     def scale(self, c) -> "QPolynomial":
         c = Fraction(c)
         return QPolynomial.from_dict({j: cj * c for j, cj in self.coeffs})
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs[-1][0] if self.coeffs else 0
 
     def evaluate(self, precision: int = DEFAULT_PRECISION):
         """Plain mpf evaluation at q (error within a few ulps of 2^-precision)."""

@@ -29,7 +29,7 @@ from .measure import MeasureParams
 
 TABLE_SIZE = 1 << 16  # inverse-CDF table covers |jump| <= 2^16
 
-_SAMPLER_CACHE: dict[tuple[str, int], "ZetaJumpSampler"] = {}
+_SAMPLER_CACHE: dict[str, "ZetaJumpSampler"] = {}
 
 
 def path_rng(seed: int, path_id: int) -> np.random.Generator:
@@ -46,21 +46,20 @@ class ZetaJumpSampler:
     discrete tail law is exact (up to float64 rounding of the table).
     """
 
-    def __init__(self, beta, table_size: int = TABLE_SIZE):
+    def __init__(self, beta):
         beta = Fraction(beta)
         if not (1 < beta <= 2):
             raise ValueError(f"beta must lie in (1, 2], got {beta}")
         self.beta = beta
         self.beta_f = float(beta)
         self.zeta_beta = float(measure.zeta(beta, 80))
-        j = np.arange(1, table_size + 1, dtype=np.float64)
+        j = np.arange(1, TABLE_SIZE + 1, dtype=np.float64)
         pmf = j ** (-self.beta_f) / self.zeta_beta
         self.cum = np.cumsum(pmf)
-        self.table_size = table_size
 
     @classmethod
     def cached(cls, beta) -> "ZetaJumpSampler":
-        key = (str(Fraction(beta)), TABLE_SIZE)
+        key = str(Fraction(beta))
         s = _SAMPLER_CACHE.get(key)
         if s is None:
             s = cls(beta)
@@ -68,9 +67,9 @@ class ZetaJumpSampler:
         return s
 
     def _sample_tail(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Magnitudes > table_size, exact accept/reject on the integer law."""
+        """Magnitudes > TABLE_SIZE, exact accept/reject on the integer law."""
         b = self.beta_f
-        j0 = float(self.table_size)
+        j0 = float(TABLE_SIZE)
         out = np.empty(size)
         need = np.arange(size)
         while need.size:
@@ -92,7 +91,7 @@ class ZetaJumpSampler:
         u = rng.random(size)
         idx = np.searchsorted(self.cum, u)
         out = (idx + 1).astype(np.float64)
-        tail = idx >= self.table_size
+        tail = idx >= TABLE_SIZE
         ntail = int(tail.sum())
         if ntail:
             out[tail] = self._sample_tail(rng, ntail)
@@ -150,9 +149,6 @@ class WalkPath:
     states: np.ndarray
     jumps: np.ndarray
 
-    def increments(self) -> np.ndarray:
-        return np.abs(np.diff(self.states))
-
 
 def _signed_states(params: WalkParams, rng: np.random.Generator):
     sampler = ZetaJumpSampler.cached(params.beta)
@@ -182,8 +178,8 @@ def folded_kernel_identity(beta, m_max: int, precision: int = 256) -> float:
     makes them equal, so only rounding remains.
     """
     beta = Fraction(beta)
-    if not (1 < beta < 2):
-        raise ValueError("beta must lie in (1, 2)")
+    if not (1 < beta <= 2):
+        raise ValueError(f"beta must lie in (1, 2], got {beta}")
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     params = MeasureParams(alpha=beta / 2, precision=precision)
@@ -271,8 +267,8 @@ def increment_tail_prob(beta, gamma, n: int, precision: int = 256):
     boundary).
     """
     beta = Fraction(beta)
-    if not (1 < beta < 2):
-        raise ValueError("beta must lie in (1, 2)")
+    if not (1 < beta <= 2):
+        raise ValueError(f"beta must lie in (1, 2], got {beta}")
     if n < 1:
         raise ValueError("n must be >= 1")
     with mp.workprec(precision):
@@ -294,7 +290,7 @@ def _summable(beta, gamma) -> bool:
 def gamma_envelope_violations(path: WalkPath, gamma, n0: int) -> int:
     """Count of n >= n0 with |k_{n+1} - k_n| > n^gamma along the path."""
     g = float(Fraction(gamma))
-    inc = path.increments()  # inc[n-1] = |k_n - k_{n-1}| ... index shift below
-    n = np.arange(len(path.states) - 1, dtype=np.float64)  # n = 0..steps-1
+    inc = np.abs(np.diff(path.states))  # inc[n] = |k_{n+1} - k_n|
+    n = np.arange(inc.size, dtype=np.float64)
     mask = n >= n0
     return int(np.count_nonzero(inc[mask] > n[mask] ** g))

@@ -34,6 +34,17 @@ def test_path_law_matches_cylinder_mass():
     _check(verify.criterion_path_law())
 
 
+@pytest.mark.parametrize("n_paths, details", [
+    (10 ** 4, {"cells": 90, "worst_z": 2.5336980115279935}),
+    (10 ** 5, {"cells": 90, "worst_z": 2.8407664827987085}),
+])
+def test_path_law_details_are_pinned(n_paths, details):
+    # frozen seed: these figures must not move, to the bit
+    res = verify.criterion_path_law(n_paths=n_paths)
+    assert res.passed is True  # a numpy bool would not serialise to JSON
+    assert res.details == details
+
+
 def test_transience_trend():
     _check(verify.criterion_transience())
 

@@ -140,6 +140,15 @@ WALK = ("walk", "--kind", "dissipative", "--alpha", "3/4", "--steps", "10",
     WALK + ("--paths", "-1"),
     WALK + ("--paths", "two"),
     ("dim", "--alpha", "3/4", "--depth", "10", "--seed", "1", "--paths", "0"),
+    # argparse usage errors: missing option, unknown flag, bad integer
+    ("intervals",),
+    ("intervals", "--word", "1", "--bogus"),
+    ("walk", "--kind", "dissipative", "--alpha", "3/4", "--steps", "ten",
+     "--seed", "1"),
+    # precisions below float64's 53 bits printed wrong digits with exit 0
+    ("intervals", "--word", "2", "--precision", "0"),
+    ("measure", "--word", "1,2", "--alpha", "3/4", "--precision", "1"),
+    ("intervals", "--word", "2", "--precision", "52"),
 ])
 def test_bad_inputs_are_clean_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -125,7 +125,8 @@ def test_walkparams_validation():
 
 
 def test_folded_kernel_identity_is_tiny():
-    assert folded_kernel_identity(Fraction(6, 5), 20, 128) < 1e-30
+    for beta in (Fraction(6, 5), Fraction(2)):  # beta = 2: alpha = 1
+        assert folded_kernel_identity(beta, 20, 128) < 1e-30
 
 
 def test_empirical_one_step_matches_kernel():
@@ -153,6 +154,14 @@ def test_increment_tail_prob_bracket_and_verdicts():
     assert not s2  # 2 * 1/2 = 1: boundary diverges by harmonic comparison
     _, s3 = increment_tail_prob(Fraction(6, 5), 4, 10, 96)
     assert not s3  # 4 * 1/5 < 1
+    # beta = 2: tail = sum_{j>=1000} j^-2 / zeta(2), the rest past 4e5
+    # bracketed by 1/400000 <= sum_{j>=400000} j^-2 <= 1/399999
+    (lo, hi), s4 = increment_tail_prob(Fraction(2), 3, 10, 96)
+    direct = sum(j ** -2.0 for j in range(1000, 400000))
+    z2 = float(zeta(Fraction(2), 80))
+    assert float(lo) <= (direct + 1 / 400000) / z2
+    assert (direct + 1 / 399999) / z2 <= float(hi)
+    assert s4  # 3 * 1 > 1
 
 
 def test_increment_tail_prob_trivial_threshold():
