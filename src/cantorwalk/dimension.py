@@ -35,8 +35,6 @@ class DimSeries:
     length; it has one entry fewer than the depth arrays.
     """
 
-    alpha: Fraction
-    symbols: np.ndarray
     n: np.ndarray
     log_len: np.ndarray
     log_mass: np.ndarray
@@ -72,8 +70,7 @@ def dim_series(path_or_symbols, alpha, precision: int = 80) -> DimSeries:
     log_mass = -nn * log_2zb + np.cumsum(np.log(f))
     ratio = log_mass / log_len
     furst = log_len[1:] / log_len[:-1]
-    return DimSeries(alpha=alpha, symbols=symbols.copy(), n=nn,
-                     log_len=log_len, log_mass=log_mass, ratio=ratio,
+    return DimSeries(n=nn, log_len=log_len, log_mass=log_mass, ratio=ratio,
                      furstenberg=furst)
 
 

@@ -15,9 +15,7 @@ import mpmath as mp
 import numpy as np
 
 from .coding import AdmissibleWord
-from .geometry import step_arrays
-
-DEFAULT_PRECISION = 256
+from .geometry import DEFAULT_PRECISION, step_arrays
 
 _ZETA_CACHE: dict[tuple[str, int], mp.mpf] = {}
 
@@ -112,11 +110,6 @@ class MeasureParams:
         return 2 * self.alpha
 
 
-def _beta_mpf(params: MeasureParams):
-    b = params.beta
-    return mp.mpf(b.numerator) / b.denominator
-
-
 def _numerator(d: int, s: int, beta):
     """Kernel numerator of one step (d, s) of ``geometry.step_arrays`` as an
     mpf at the working precision: d^-beta, plus s^-beta where s > 0; 0 for
@@ -139,7 +132,7 @@ def transition_prob(m: int, l: int, params: MeasureParams):
         raise ValueError("states must be non-negative")
     with mp.workprec(params.precision):
         z = zeta(params.beta, params.precision)
-        return _numerator(*step_arrays(m, l), _beta_mpf(params)) / (2 * z)
+        return _numerator(*step_arrays(m, l), _to_mpf(params.beta)) / (2 * z)
 
 
 @dataclass(frozen=True)
@@ -160,7 +153,7 @@ class CylinderMass:
         return len(self.factors)
 
     def _factor_values(self):
-        beta = _beta_mpf(self.params)
+        beta = _to_mpf(self.params.beta)
         for d, s in self.factors:
             yield _numerator(d, s, beta)
 
@@ -238,7 +231,7 @@ def consistency_defect(word: AdmissibleWord, params: MeasureParams,
     if truncation < k + 2:
         raise ValueError("truncation must be >= last symbol + 2")
     prec = params.precision
-    beta = float(_beta_mpf(params))
+    beta = float(_to_mpf(params.beta))
     z_lo, z_hi = (float(v) for v in zeta_bracket(params.beta, prec))
     parent = float(cylinder_mass(word, params).value(max(prec, 64)))
     l = np.arange(truncation + 1, dtype=np.float64)

@@ -7,6 +7,7 @@ number here is reproducible bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -14,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dimension, geometry, measure, walks
-from .coding import AdmissibleWord, random_word
+from .coding import AdmissibleWord, children, random_word
 from .measure import MeasureParams
 
 SEED_PARTITION = 1001
@@ -23,6 +24,18 @@ SEED_KERNEL = 1003
 SEED_PATHLAW = 4004
 SEED_TRANSIENCE = 1005
 SEED_DIMENSION = 1008
+
+# Sizes of the frozen path batches; the alpha = 3/4 transience batch also
+# feeds Borel-Cantelli, the dimension batch both dimension criteria.
+TRANSIENCE_PATHS = 1000
+TRANSIENCE_STEPS = 10 ** 5
+CHECKPOINTS = (100, 1000, 10000)
+ENVELOPE_GAMMA = 3.0
+ENVELOPE_N0 = 100
+DIMENSION_ALPHA = Fraction(9, 10)
+DIMENSION_PATHS = 100
+DIMENSION_DEPTH = 10 ** 4
+DIMENSION_N0 = 1000  # both dimension criteria look at n >= DIMENSION_N0
 
 
 @dataclass
@@ -38,6 +51,7 @@ class CriterionResult:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs) -> CriterionResult:
         t0 = time.perf_counter()
         res = fn(*args, **kwargs)
@@ -47,14 +61,14 @@ def _timed(fn):
 
 
 @_timed
-def criterion_partition(n_words: int = 1000, max_depth: int = 30,
-                        truncation: int = 10 ** 5) -> CriterionResult:
+def criterion_partition(n_words: int = 1000, truncation: int = 10 ** 5
+                        ) -> CriterionResult:
     """Left-block child lengths bracket exactly half the parent."""
     rng = np.random.default_rng(SEED_PARTITION)
     worst_width = 0.0
     ok = True
     for _ in range(n_words):
-        depth = int(rng.integers(1, max_depth + 1))
+        depth = int(rng.integers(1, 31))
         w = random_word(rng, depth)
         lo, hi, half = geometry.left_block_partition_bracket(
             w, truncation, precision=80)
@@ -90,13 +104,12 @@ def criterion_consistency(n_words: int = 100, truncation: int = 10 ** 4
 
 
 @_timed
-def criterion_folded_kernel(m_max: int = 100,
-                            precision: int = 256) -> CriterionResult:
+def criterion_folded_kernel(m_max: int = 100) -> CriterionResult:
     """Folded-walk kernel equals the dissipative kernel to rounding."""
     defects = {}
     ok = True
     for b in (Fraction(6, 5), Fraction(3, 2), Fraction(9, 5)):
-        d = walks.folded_kernel_identity(b, m_max, precision)
+        d = walks.folded_kernel_identity(b, m_max, 256)
         defects[str(b)] = d
         if not d < 1e-50:
             ok = False
@@ -142,9 +155,9 @@ def criterion_kernel_empirical(n_samples: int = 10 ** 6) -> CriterionResult:
 
 
 @_timed
-def criterion_path_law(n_paths: int = 10 ** 6, depth: int = 3,
-                       mass_floor: float = 1e-3) -> CriterionResult:
+def criterion_path_law(n_paths: int = 10 ** 6) -> CriterionResult:
     """Depth-3 prefix frequencies match cylinder masses within 3 sigma."""
+    depth, mass_floor = 3, 1e-3
     alpha = Fraction(3, 4)
     params = MeasureParams(alpha=alpha, precision=64)
     rng = np.random.default_rng(SEED_PATHLAW)
@@ -180,71 +193,75 @@ def criterion_path_law(n_paths: int = 10 ** 6, depth: int = 3,
                            {"cells": cells, "worst_z": worst})
 
 
+@functools.cache
+def _path_batch(scalars, seed: int, alpha: Fraction, n_paths: int,
+                steps: int) -> np.ndarray:
+    """Row i is ``scalars(path i)`` of a frozen dissipative batch; the
+    paths themselves are not kept.  run_all clears this cache, so one run
+    simulates each batch once, in the first criterion that reads it."""
+    params = walks.WalkParams(kind="dissipative", steps=steps, seed=seed,
+                              alpha=alpha)
+    rows = np.array([scalars(walks.simulate_path(params, path_id=i))
+                     for i in range(n_paths)])
+    rows.flags.writeable = False  # every reader of the batch shares it
+    return rows
+
+
+def _returns(path: walks.WalkPath) -> np.ndarray:
+    """Per checkpoint t: does the path visit 0 at some step >= t?"""
+    return walks.suffix_minima(path.states, CHECKPOINTS) == 0
+
+
+def _returns_and_violations(path: walks.WalkPath) -> np.ndarray:
+    return np.append(_returns(path), walks.gamma_envelope_violations(
+        path, ENVELOPE_GAMMA, ENVELOPE_N0))
+
+
+def _transience_batch(alpha: Fraction, scalars) -> np.ndarray:
+    return _path_batch(scalars, SEED_TRANSIENCE, alpha, TRANSIENCE_PATHS,
+                       TRANSIENCE_STEPS)
+
+
 @_timed
-def criterion_transience(n_paths: int = 1000, steps: int = 10 ** 5
-                         ) -> CriterionResult:
+def criterion_transience() -> CriterionResult:
     """Return fractions decay for alpha = 3/4 and dominate at alpha ~ 1."""
-    checkpoints = [100, 1000, 10000]
-    rep = walks.transience_stats(
-        walks.WalkParams(kind="dissipative", steps=steps,
-                         seed=SEED_TRANSIENCE, alpha=Fraction(3, 4)),
-        n_paths, checkpoints)
-    rep_boundary = walks.transience_stats(
-        walks.WalkParams(kind="dissipative", steps=steps,
-                         seed=SEED_TRANSIENCE, alpha=Fraction(999, 1000)),
-        n_paths, checkpoints)
-    f = [rep.return_fraction[t] for t in checkpoints]
-    g = [rep_boundary.return_fraction[t] for t in checkpoints]
+    main = _transience_batch(Fraction(3, 4), _returns_and_violations)
+    boundary = _transience_batch(Fraction(999, 1000), _returns)
+    f = [int(k) / TRANSIENCE_PATHS for k in main[:, :-1].sum(axis=0)]
+    g = [int(k) / TRANSIENCE_PATHS for k in boundary.sum(axis=0)]
     ok = all(f[i + 1] <= f[i] for i in range(len(f) - 1))
     ok = ok and f[-1] < 0.2
     ok = ok and all(gb > fa for gb, fa in zip(g, f))
     return CriterionResult("transience trend", ok,
-                           {"return_fraction": dict(zip(checkpoints, f)),
-                            "boundary_fraction": dict(zip(checkpoints, g))})
-
-
-def _tail_prob_brackets(beta: float, gamma: float, ns: np.ndarray,
-                        zeta_lo: float, zeta_hi: float):
-    """Vectorized integral brackets of P(|jump| >= n^gamma)."""
-    thresholds = np.ceil(ns.astype(np.float64) ** gamma)
-    lo = thresholds ** (1.0 - beta) / (beta - 1.0) / zeta_hi
-    hi = (thresholds - 1.0) ** (1.0 - beta) / (beta - 1.0) / zeta_lo
-    return lo, np.minimum(hi, 1.0)
+                           {"return_fraction": dict(zip(CHECKPOINTS, f)),
+                            "boundary_fraction": dict(zip(CHECKPOINTS, g))})
 
 
 @_timed
-def criterion_borel_cantelli(n_paths: int = 1000, steps: int = 10 ** 5,
-                             gamma: float = 3.0, n0: int = 100
-                             ) -> CriterionResult:
+def criterion_borel_cantelli() -> CriterionResult:
     """Envelope-violation counts fall in the band predicted by the tails."""
     beta = Fraction(3, 2)
     # bracket monotonicity via the rigorous scalar evaluator
-    his = []
-    los = []
-    for n in range(2, 30):
-        (lo, hi), summable = walks.increment_tail_prob(beta, 3, n)
-        los.append(float(lo))
-        his.append(float(hi))
-    mono = all(his[i + 1] <= his[i] for i in range(len(his) - 1))
-    mono = mono and all(los[i + 1] <= los[i] for i in range(len(los) - 1))
-    mono = mono and summable  # gamma=3 > 1/(beta-1) = 2
+    tails = [walks.increment_tail_prob(beta, 3, n) for n in range(2, 30)]
+    ends = np.array([[float(lo), float(hi)] for (lo, hi), _ in tails])
+    mono = bool(np.all(np.diff(ends, axis=0) <= 0))
+    mono = mono and all(summable for _, summable in tails)  # 3 > 1/(beta-1)
     _, not_summable = walks.increment_tail_prob(beta, 2, 10)
     mono = mono and not not_summable  # gamma*(beta-1) = 1 boundary diverges
 
+    # integral brackets of P(|jump| >= n^gamma) for n0 <= n < steps
     z_lo, z_hi = (float(v) for v in measure.zeta_bracket(beta, 64))
-    ns = np.arange(n0, steps)
-    p_lo, p_hi = _tail_prob_brackets(float(beta), gamma, ns, z_lo, z_hi)
-    mean_lo = n_paths * float(p_lo.sum())
-    mean_hi = n_paths * float(p_hi.sum())
-    sigma = float(np.sqrt(n_paths * p_hi.sum()))
+    b = float(beta)
+    thresholds = np.ceil(np.arange(ENVELOPE_N0, TRANSIENCE_STEPS,
+                                   dtype=np.float64) ** ENVELOPE_GAMMA)
+    p_lo = thresholds ** (1.0 - b) / (b - 1.0) / z_hi
+    p_hi = np.minimum((thresholds - 1.0) ** (1.0 - b) / (b - 1.0) / z_lo, 1.0)
+    mean_lo = TRANSIENCE_PATHS * float(p_lo.sum())
+    mean_hi = TRANSIENCE_PATHS * float(p_hi.sum())
+    sigma = float(np.sqrt(TRANSIENCE_PATHS * p_hi.sum()))
 
-    total = 0
-    for i in range(n_paths):
-        path = walks.simulate_path(
-            walks.WalkParams(kind="dissipative", steps=steps,
-                             seed=SEED_TRANSIENCE, alpha=Fraction(3, 4)),
-            path_id=i)
-        total += walks.gamma_envelope_violations(path, gamma, n0)
+    main = _transience_batch(Fraction(3, 4), _returns_and_violations)
+    total = int(main[:, -1].sum())
     ok = mono and (mean_lo - 3 * sigma <= total <= mean_hi + 3 * sigma)
     return CriterionResult("Borel-Cantelli tails", ok,
                            {"observed": total, "band":
@@ -252,37 +269,34 @@ def criterion_borel_cantelli(n_paths: int = 1000, steps: int = 10 ** 5,
                             "bracket_monotone": mono})
 
 
-def _dimension_paths(n_paths: int = 100, depth: int = 10 ** 4,
-                     alpha: Fraction = Fraction(9, 10)):
-    series = []
-    for i in range(n_paths):
-        path = walks.simulate_path(
-            walks.WalkParams(kind="dissipative", steps=depth,
-                             seed=SEED_DIMENSION, alpha=alpha), path_id=i)
-        series.append(dimension.dim_series(path, alpha))
-    return series
+def _dimension_scalars(path: walks.WalkPath) -> tuple[float, float, float]:
+    """Terminal ratio, tail infimum and Furstenberg deviation of a path."""
+    s = dimension.dim_series(path, DIMENSION_ALPHA)
+    return (s.ratio[-1], s.ratio[DIMENSION_N0 - 1:].min(),
+            dimension.furstenberg_ratio_check(s, DIMENSION_N0))
+
+
+def _dimension_batch() -> np.ndarray:
+    return _path_batch(_dimension_scalars, SEED_DIMENSION, DIMENSION_ALPHA,
+                       DIMENSION_PATHS, DIMENSION_DEPTH)
 
 
 @_timed
-def criterion_pointwise_dimension(n_paths: int = 100, depth: int = 10 ** 4
-                                  ) -> CriterionResult:
+def criterion_pointwise_dimension() -> CriterionResult:
     """5 % quantiles of the terminal ratio and of its infimum over
     n >= 1000 both exceed 0.75."""
-    series = _dimension_paths(n_paths, depth)
-    q05 = float(np.quantile([s.ratio[-1] for s in series], 0.05))
-    q05_inf = float(np.quantile([s.ratio[999:].min() for s in series], 0.05))
+    final, tail_inf, _ = _dimension_batch().T
+    q05 = float(np.quantile(final, 0.05))
+    q05_inf = float(np.quantile(tail_inf, 0.05))
     return CriterionResult("pointwise dimension", min(q05, q05_inf) > 0.75,
                            {"q05_final_ratio": q05,
                             "q05_tail_infimum": q05_inf})
 
 
 @_timed
-def criterion_furstenberg(n_paths: int = 100, depth: int = 10 ** 4,
-                          n0: int = 1000) -> CriterionResult:
-    """log r_{n+1}/log r_n stays within 0.05 of 1 beyond n0."""
-    series = _dimension_paths(n_paths, depth)
-    devs = [dimension.furstenberg_ratio_check(s, n0) for s in series]
-    worst = max(devs)
+def criterion_furstenberg() -> CriterionResult:
+    """log r_{n+1}/log r_n stays within 0.05 of 1 beyond n = 1000."""
+    worst = float(_dimension_batch()[:, 2].max())
     return CriterionResult("Furstenberg ratio", worst < 0.05,
                            {"worst_deviation": worst})
 
@@ -301,9 +315,6 @@ def criterion_pressure() -> CriterionResult:
 
 def _brute_force_level_masses(depth: int, cutoff: int) -> list[float]:
     """Direct enumeration oracle for small depth and cutoff."""
-    from .coding import children
-    from .geometry import cylinder_length
-
     q = float(geometry.q_value(80))
     level = [AdmissibleWord()]
     out = []
@@ -313,7 +324,7 @@ def _brute_force_level_masses(depth: int, cutoff: int) -> list[float]:
             nxt.extend(children(w, cutoff))
         total = 0.0
         for w in nxt:
-            r, n = cylinder_length(w)
+            r, n = geometry.cylinder_length(w)
             total += r.numerator / r.denominator * q ** n
         out.append(total)
         level = nxt
@@ -321,8 +332,7 @@ def _brute_force_level_masses(depth: int, cutoff: int) -> list[float]:
 
 
 @_timed
-def criterion_lebesgue(deep_depth: int = 50,
-                       deep_cutoff: int = 1000) -> CriterionResult:
+def criterion_lebesgue() -> CriterionResult:
     """Transfer recursion matches enumeration; level masses decay."""
     ok = True
     worst_rel = 0.0
@@ -334,7 +344,7 @@ def criterion_lebesgue(deep_depth: int = 50,
             worst_rel = max(worst_rel, rel)
             if rel >= 1e-12:
                 ok = False
-    deep = dimension.lebesgue_mass_decay(deep_depth, deep_cutoff).level_mass
+    deep = dimension.lebesgue_mass_decay(50, 1000).level_mass
     decreasing = all(b < a for a, b in zip(deep, deep[1:]))
     ok = ok and decreasing
     return CriterionResult("Lebesgue level-mass decay", ok,
@@ -359,7 +369,11 @@ ALL_CRITERIA = [
 
 
 def run_all(quick: bool = False) -> list[CriterionResult]:
-    """Run the verification suite; quick mode shrinks the Monte Carlo sizes."""
+    """Run the verification suite; quick mode shrinks the Monte Carlo sizes.
+
+    Every call simulates its path batches afresh, each batch once.
+    """
+    _path_batch.cache_clear()
     if not quick:
         return [fn() for fn in ALL_CRITERIA]
     return [

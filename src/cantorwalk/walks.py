@@ -184,7 +184,7 @@ def folded_kernel_identity(beta, m_max: int, precision: int = 256) -> float:
         raise ValueError("m_max must be >= 2")
     params = MeasureParams(alpha=beta / 2, precision=precision)
     with mp.workprec(precision):
-        b = mp.mpf(beta.numerator) / beta.denominator
+        b = measure._to_mpf(beta)
         z = measure.zeta(beta, precision)
 
         def p(j: int):
@@ -200,12 +200,15 @@ def folded_kernel_identity(beta, m_max: int, precision: int = 256) -> float:
         return float(worst)
 
 
+def suffix_minima(states: np.ndarray, checkpoints) -> np.ndarray:
+    """min(states[t:]) for each of the strictly increasing checkpoints t:
+    segment minima between checkpoints, combined right to left."""
+    seg = np.minimum.reduceat(states, np.asarray(checkpoints, dtype=np.intp))
+    return np.minimum.accumulate(seg[::-1])[::-1]
+
+
 @dataclass
 class TransienceReport:
-    params: WalkParams
-    n_paths: int
-    checkpoints: list[int]
-    thresholds: list[int]
     return_fraction: dict[int, float]       # paths visiting 0 in [t, steps]
     escape_fraction: dict[int, dict[int, float]]  # min over [t,steps] >= thr
     state_quantiles: dict[int, dict[str, float]]
@@ -225,18 +228,12 @@ def transience_stats(params: WalkParams, n_paths: int,
     if checkpoints and not (0 <= checkpoints[0]
                             and checkpoints[-1] < params.steps):
         raise ValueError("checkpoints must lie in [0, steps)")
-    ends = checkpoints[1:] + [params.steps + 1]
     returns = {t: 0 for t in checkpoints}
     escapes = {t: {thr: 0 for thr in thresholds} for t in checkpoints}
     states_at = {t: np.empty(n_paths) for t in checkpoints}
     for i in range(n_paths):
-        path = simulate_path(params, path_id=i)
-        s = path.states
-        # suffix minima, computed once right-to-left: min(s[t:]) is the
-        # running minimum of the segments [t, next checkpoint)
-        m = np.inf
-        for t, end in zip(checkpoints[::-1], ends[::-1]):
-            m = min(m, s[t:end].min())
+        s = simulate_path(params, path_id=i).states
+        for t, m in zip(checkpoints, suffix_minima(s, checkpoints)):
             if m == 0:
                 returns[t] += 1
             for thr in thresholds:
@@ -249,8 +246,6 @@ def transience_stats(params: WalkParams, n_paths: int,
         for t in checkpoints
     }
     return TransienceReport(
-        params=params, n_paths=n_paths, checkpoints=checkpoints,
-        thresholds=list(thresholds),
         return_fraction={t: returns[t] / n_paths for t in checkpoints},
         escape_fraction={t: {thr: escapes[t][thr] / n_paths
                              for thr in thresholds} for t in checkpoints},

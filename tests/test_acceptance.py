@@ -9,9 +9,13 @@ import pytest
 from cantorwalk import verify
 
 
-def _check(result):
+def _check(result, details=None):
     print(result.line())
-    assert result.passed, result.details
+    # a numpy bool would not serialise to JSON
+    assert result.passed is True, result.details
+    if details is not None:
+        # frozen seed: these figures must not move, to the bit
+        assert result.details == details
 
 
 def test_partition_identity():
@@ -39,26 +43,30 @@ def test_path_law_matches_cylinder_mass():
     (10 ** 5, {"cells": 90, "worst_z": 2.8407664827987085}),
 ])
 def test_path_law_details_are_pinned(n_paths, details):
-    # frozen seed: these figures must not move, to the bit
-    res = verify.criterion_path_law(n_paths=n_paths)
-    assert res.passed is True  # a numpy bool would not serialise to JSON
-    assert res.details == details
+    _check(verify.criterion_path_law(n_paths=n_paths), details)
 
 
 def test_transience_trend():
-    _check(verify.criterion_transience())
+    _check(verify.criterion_transience(), {
+        "return_fraction": {100: 0.007, 1000: 0.001, 10000: 0.0},
+        "boundary_fraction": {100: 0.496, 1000: 0.35, 10000: 0.184}})
 
 
 def test_borel_cantelli_tails():
-    _check(verify.criterion_borel_cantelli())
+    _check(verify.criterion_borel_cantelli(), {
+        "observed": 138, "band": [112.08134367220964, 185.23685942063756],
+        "bracket_monotone": True})
 
 
 def test_pointwise_dimension():
-    _check(verify.criterion_pointwise_dimension())
+    _check(verify.criterion_pointwise_dimension(), {
+        "q05_final_ratio": 0.9896843454302058,
+        "q05_tail_infimum": 0.9849453830529312})
 
 
 def test_furstenberg_ratio():
-    _check(verify.criterion_furstenberg())
+    _check(verify.criterion_furstenberg(),
+           {"worst_deviation": 0.00902857173830185})
 
 
 def test_pressure_monotonicity():
