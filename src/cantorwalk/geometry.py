@@ -34,6 +34,12 @@ def q_value(precision: int = DEFAULT_PRECISION):
         return 3 / mp.pi ** 2
 
 
+def _to_mpf(s):
+    if isinstance(s, Fraction):
+        return mp.mpf(s.numerator) / s.denominator
+    return mp.mpf(s)
+
+
 def _frac_iv(x: Fraction):
     return mp.iv.mpf(x.numerator) / mp.iv.mpf(x.denominator)
 
@@ -77,7 +83,7 @@ class QPolynomial:
             q = q_value(precision + 10)
             acc = mp.mpf(0)
             for j, c in self.coeffs:
-                acc += mp.mpf(c.numerator) / c.denominator * q ** j
+                acc += _to_mpf(c) * q ** j
         return acc
 
     def enclosure(self, precision: int = DEFAULT_PRECISION):
@@ -259,7 +265,7 @@ def left_block_partition_bracket(word: AdmissibleWord, truncation: int,
     r, n = cylinder_length(word)
     with mp.workprec(precision):
         q = q_value(precision)
-        length = mp.mpf(r.numerator) / r.denominator * q ** n
+        length = _to_mpf(r) * q ** n
         key = (truncation, precision)
         h = _H_FLOAT_CACHE.get(key)
         if h is None:

@@ -15,19 +15,13 @@ import mpmath as mp
 import numpy as np
 
 from .coding import AdmissibleWord
-from .geometry import DEFAULT_PRECISION, step_arrays
+from .geometry import DEFAULT_PRECISION, _to_mpf, step_arrays
 
 _ZETA_CACHE: dict[tuple[str, int], mp.mpf] = {}
 
 
 class ZetaDomainError(ValueError):
     """s is too close to 1 for the requested evaluation."""
-
-
-def _to_mpf(s):
-    if isinstance(s, Fraction):
-        return mp.mpf(s.numerator) / s.denominator
-    return mp.mpf(s)
 
 
 def zeta(s, precision: int = DEFAULT_PRECISION):

@@ -18,6 +18,7 @@ on its own.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,9 +26,12 @@ import mpmath as mp
 import numpy as np
 
 from . import measure
+from .geometry import _to_mpf
 from .measure import MeasureParams
 
 TABLE_SIZE = 1 << 16  # inverse-CDF table covers |jump| <= 2^16
+_GUIDE_SIZE = 1 << 16  # guide buckets; a power of two, so u * size is exact
+_CHUNK = 1 << 16       # draws looked up at once, to bound the temporaries
 
 _SAMPLER_CACHE: dict[str, "ZetaJumpSampler"] = {}
 
@@ -44,6 +48,13 @@ class ZetaJumpSampler:
     Inverse-CDF table up to TABLE_SIZE; beyond it, inversion of the
     continuous x^-beta tail with an exact accept/reject correction, so the
     discrete tail law is exact (up to float64 rounding of the table).
+
+    The table index of a uniform u is ``searchsorted(cum, u)``, found
+    through a guide table (Chen & Asau's indexed search): ``guide[b]`` is
+    the index of b / _GUIDE_SIZE, so one comparison settles a u whose
+    bucket holds at most one table boundary, and ``searchsorted`` is kept
+    for the few ``wide`` buckets.  The index, and so the random stream, is
+    that of a plain ``searchsorted``.
     """
 
     def __init__(self, beta):
@@ -55,7 +66,11 @@ class ZetaJumpSampler:
         self.zeta_beta = float(measure.zeta(beta, 80))
         j = np.arange(1, TABLE_SIZE + 1, dtype=np.float64)
         pmf = j ** (-self.beta_f) / self.zeta_beta
-        self.cum = np.cumsum(pmf)
+        # the +inf sentinel sends u past the last entry to index TABLE_SIZE
+        self.cum = np.append(np.cumsum(pmf), np.inf)
+        edges = np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE
+        self.guide = np.searchsorted(self.cum, edges).astype(np.int32)
+        self.wide = np.diff(self.guide) > 1
 
     @classmethod
     def cached(cls, beta) -> "ZetaJumpSampler":
@@ -86,13 +101,29 @@ class ZetaJumpSampler:
             need = need[~accept]
         return out
 
+    def _table_index(self, u: np.ndarray) -> np.ndarray:
+        """``searchsorted(self.cum, u)`` for u in [0, 1), by guide table.
+
+        u lies in [b, b + 1) / _GUIDE_SIZE, so its index lies in
+        [guide[b], guide[b + 1]]: one comparison decides it unless the
+        bucket is wide.
+        """
+        b = (u * _GUIDE_SIZE).astype(np.intp)
+        g = self.guide[b]
+        idx = g + (self.cum[g] < u)
+        wide = np.flatnonzero(self.wide[b])
+        if wide.size:
+            idx[wide] = np.searchsorted(self.cum, u[wide])
+        return idx
+
     def sample_abs(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vector of jump magnitudes (float64 holding exact integers)."""
         u = rng.random(size)
-        idx = np.searchsorted(self.cum, u)
-        out = (idx + 1).astype(np.float64)
-        tail = idx >= TABLE_SIZE
-        ntail = int(tail.sum())
+        out = np.empty(size)
+        for lo in range(0, size, _CHUNK):
+            out[lo:lo + _CHUNK] = self._table_index(u[lo:lo + _CHUNK]) + 1
+        tail = out > TABLE_SIZE
+        ntail = int(np.count_nonzero(tail))
         if ntail:
             out[tail] = self._sample_tail(rng, ntail)
         return out
@@ -184,16 +215,17 @@ def folded_kernel_identity(beta, m_max: int, precision: int = 256) -> float:
         raise ValueError("m_max must be >= 2")
     params = MeasureParams(alpha=beta / 2, precision=precision)
     with mp.workprec(precision):
-        b = measure._to_mpf(beta)
+        b = _to_mpf(beta)
         z = measure.zeta(beta, precision)
 
-        def p(j: int):
-            return mp.mpf(abs(j)) ** (-b) / (2 * z) if j else mp.mpf(0)
+        @functools.cache
+        def p_abs(k: int):  # p(j) at |j| = k; about 2 m_max magnitudes occur
+            return mp.mpf(k) ** (-b) / (2 * z) if k else mp.mpf(0)
 
         worst = mp.mpf(0)
         for m in range(m_max + 1):
             for l in range(m_max + 1):
-                folded = sum(p(j) for j in {l - m, -l - m})
+                folded = sum(p_abs(abs(j)) for j in {l - m, -l - m})
                 diff = abs(folded - measure.transition_prob(m, l, params))
                 if diff > worst:
                     worst = diff
@@ -267,7 +299,7 @@ def increment_tail_prob(beta, gamma, n: int, precision: int = 256):
     if n < 1:
         raise ValueError("n must be >= 1")
     with mp.workprec(precision):
-        g = measure._to_mpf(Fraction(gamma))
+        g = _to_mpf(Fraction(gamma))
         threshold = int(mp.ceil(mp.mpf(n) ** g))
         z_lo, z_hi = measure.zeta_bracket(beta, precision)
         if threshold <= 1:
@@ -282,10 +314,17 @@ def _summable(beta, gamma) -> bool:
     return Fraction(gamma) * (Fraction(beta) - 1) > 1
 
 
+@functools.lru_cache(maxsize=8)
+def _envelope(length: int, g: float, n0: int) -> np.ndarray:
+    """The thresholds n^g for the indices n >= n0 of range(length)."""
+    n = np.arange(length, dtype=np.float64)
+    thresholds = n[n >= n0] ** g
+    thresholds.flags.writeable = False  # shared by every path of a length
+    return thresholds
+
+
 def gamma_envelope_violations(path: WalkPath, gamma, n0: int) -> int:
     """Count of n >= n0 with |k_{n+1} - k_n| > n^gamma along the path."""
-    g = float(Fraction(gamma))
     inc = np.abs(np.diff(path.states))  # inc[n] = |k_{n+1} - k_n|
-    n = np.arange(inc.size, dtype=np.float64)
-    mask = n >= n0
-    return int(np.count_nonzero(inc[mask] > n[mask] ** g))
+    thresholds = _envelope(inc.size, float(Fraction(gamma)), n0)
+    return int(np.count_nonzero(inc[inc.size - thresholds.size:] > thresholds))

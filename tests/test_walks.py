@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from cantorwalk.measure import MeasureParams, transition_prob, zeta
 from cantorwalk.walks import (
+    TABLE_SIZE,
     WalkParams,
     ZetaJumpSampler,
     folded_kernel_identity,
@@ -60,6 +62,55 @@ def test_sampler_rejects_bad_beta():
         ZetaJumpSampler(Fraction(1))
     with pytest.raises(ValueError):
         ZetaJumpSampler(Fraction(5, 2))
+
+
+@pytest.mark.parametrize("beta", [Fraction(51, 50), Fraction(6, 5), B32,
+                                  Fraction(2)])
+def test_guide_lookup_equals_searchsorted(beta):
+    sampler = ZetaJumpSampler(beta)
+    cum = sampler.cum[:TABLE_SIZE]  # the table without its +inf sentinel
+    last = cum[-1]
+    u = np.concatenate([
+        path_rng(3, 0).random(10 ** 6),
+        cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+        [0.0, (last + 1.0) / 2, np.nextafter(1.0, 0.0)],
+    ])
+    idx = sampler._table_index(u)
+    assert np.array_equal(idx, np.searchsorted(cum, u))
+    # u above the last entry maps to the tail
+    assert np.all(idx[u > last] == TABLE_SIZE)
+    assert np.count_nonzero(u > last) >= 3
+
+
+def test_sample_abs_across_chunks_matches_plain_searchsorted():
+    # the same stream as one searchsorted over all draws, then the tail
+    sampler = ZetaJumpSampler.cached(Fraction(6, 5))
+    size = 150001  # more than two lookup chunks
+    got = sampler.sample_abs(path_rng(19, 2), size)
+    rng = path_rng(19, 2)
+    idx = np.searchsorted(sampler.cum[:TABLE_SIZE], rng.random(size))
+    want = (idx + 1).astype(np.float64)
+    tail = idx >= TABLE_SIZE
+    want[tail] = sampler._sample_tail(rng, int(tail.sum()))
+    assert np.array_equal(got, want)
+
+
+# sha256 of simulate_path states before the guide-table lookup came in
+STREAM_PINS = {
+    Fraction(51, 100):
+        "b2888688ccd2392b9a7b4a2da8cdcba35b86022ad877010a16b01dfeebdea765",
+    Fraction(3, 4):
+        "9af1ccd2feb11dd6e9fe6ba867b4f47bcbeaeed0aff6e5037edc730e2501b0b2",
+    Fraction(999, 1000):
+        "74b8979c2524491383e117b316d38ca1a206db65f8587fb7d4d54659ed3f4537",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(STREAM_PINS))
+def test_simulate_path_stream_is_pinned(alpha):
+    p = simulate_path(WalkParams(kind="dissipative", steps=10 ** 5,
+                                 seed=2718, alpha=alpha), path_id=5)
+    assert hashlib.sha256(p.states.tobytes()).hexdigest() == STREAM_PINS[alpha]
 
 
 def test_scalar_jump_is_nonzero_integer():
@@ -176,6 +227,24 @@ def test_gamma_envelope_violation_counts():
     # n^0 = 1, so every jump of magnitude >= 2 violates; that has
     # probability 1 - 1/zeta(3/2), about 0.62
     assert gamma_envelope_violations(p, 0, 1) > 1500
+
+
+def test_gamma_envelope_violations_match_direct_formula():
+    def direct(path, gamma, n0):
+        inc = np.abs(np.diff(path.states))
+        n = np.arange(inc.size, dtype=np.float64)
+        mask = n >= n0
+        return int(np.count_nonzero(inc[mask] > n[mask] ** float(gamma)))
+
+    paths = [simulate_path(WalkParams(kind="dissipative", steps=steps,
+                                      seed=8, alpha=Fraction(3, 4)))
+             for steps in (300, 1000, 3000)]
+    cases = [(p, gamma, n0) for gamma in (0, Fraction(1, 2), 1, 3)
+             for n0 in (0, 1, 10, 299, 300, 5000) for p in paths]
+    expected = [direct(*case) for case in cases]
+    assert len(set(expected)) > 20  # a stale threshold array would show
+    for _ in range(2):  # interleaved calls, every key met twice
+        assert [gamma_envelope_violations(*c) for c in cases] == expected
 
 
 def test_transience_stats_shape_and_trend():
