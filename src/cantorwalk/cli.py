@@ -15,7 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from . import __version__, dimension, geometry, measure, verify, walks
@@ -54,6 +53,12 @@ def _int_at_least(text: str, name: str, minimum: int) -> int:
     return n
 
 
+def _check_boundary(alpha: Fraction, allow_boundary: bool) -> None:
+    if alpha == 1 and not allow_boundary:
+        raise CliError("alpha = 1 is the recurrent boundary; "
+                       "pass --allow-boundary to study it")
+
+
 def _meta(args: argparse.Namespace) -> dict:
     cfg = {k: (str(v) if isinstance(v, Fraction) else v)
            for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
@@ -90,7 +95,8 @@ def cmd_intervals(args) -> int:
     payload["hole"] = {
         "left_poly": h.left.to_json(),
         "length_poly": h.length.to_json(),
-        "decimal_length": mp.nstr(h.length.evaluate(args.precision), 25),
+        "decimal_length": geometry.decimal_str(
+            h.length.evaluate(args.precision), args.precision),
     }
     payload["meta"] = _meta(args)
     _emit(args, payload)
@@ -105,8 +111,8 @@ def cmd_measure(args) -> int:
     payload = {
         "word": list(word.symbols),
         "alpha": str(params.alpha),
-        "mass_decimal": mp.nstr(cm.value(), 25),
-        "log_mass": mp.nstr(cm.log_value(), 25),
+        "mass_decimal": geometry.decimal_str(cm.value(), params.precision),
+        "log_mass": geometry.decimal_str(cm.log_value(), params.precision),
         "factors": cm.to_json(),
         "consistency": {
             "partial": float(res.partial_sum),
@@ -125,9 +131,7 @@ def cmd_walk(args) -> int:
     if args.kind == "dissipative":
         if args.alpha is None:
             raise CliError("dissipative walk needs --alpha")
-        if args.alpha == 1 and not args.allow_boundary:
-            raise CliError("alpha = 1 is the recurrent boundary; "
-                           "pass --allow-boundary to study it")
+        _check_boundary(args.alpha, args.allow_boundary)
         kwargs["alpha"] = args.alpha
     else:
         if args.beta is None:
@@ -158,6 +162,7 @@ def cmd_walk(args) -> int:
 
 
 def cmd_dim(args) -> int:
+    _check_boundary(args.alpha, args.allow_boundary)
     rows = []
     finals = []
     for i in range(args.paths):
@@ -186,7 +191,8 @@ def cmd_pressure(args) -> int:
         "K": est.state_cutoff,
         "s_star": est.s_star,
         "tolerance": est.tolerance,
-        "lambda_trace": [[s, l] for s, l in est.lambda_trace],
+        "s_bracket": list(est.s_bracket),
+        "lambda_trace": [list(entry) for entry in est.lambda_trace],
         "meta": _meta(args),
     }
     _emit(args, payload)
@@ -266,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                     type=lambda t: _int_at_least(t, "paths", 1))
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--rows-per-path", type=int, default=100)
+    sp.add_argument("--allow-boundary", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_dim)
 

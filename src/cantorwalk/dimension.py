@@ -18,8 +18,7 @@ from . import measure
 from .geometry import q_value, step_arrays
 from .walks import WalkPath
 
-_POWER_TOL = 1e-12  # relative change of lambda that stops power iteration
-_POWER_MAX_ITER = 100000
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _log_q(precision: int = 80) -> float:
@@ -83,12 +82,23 @@ def furstenberg_ratio_check(series: DimSeries, n0: int) -> float:
 
 @dataclass
 class PressureEstimate:
-    """Root s* of spectral-radius(T_s) = 1 for the truncated system."""
+    """Root s* of spectral-radius(T_s) = 1 for the truncated system.
+
+    ``s_bracket`` = (lo, hi) is certified: rho(T_lo) >= 1 > rho(T_hi) was
+    proved in float arithmetic (see ``pressure_dimension``), so s* lies in
+    [lo, hi] and lo is a rigorous lower bound for the dimension.
+    ``s_star`` is the midpoint of the bracket.  ``lambda_trace`` holds one
+    (s, lo, hi) per evaluated s, a certified bracket on rho(T_s) that lies
+    wholly below 1 or wholly at or above it; only a final entry may
+    straddle 1, when the bisection stopped because rho(T_s) could not be
+    told from 1 in float arithmetic.
+    """
 
     state_cutoff: int
     s_star: float
+    s_bracket: tuple[float, float]
     tolerance: float
-    lambda_trace: list[tuple[float, float]]  # (s, lambda(s)) evaluations
+    lambda_trace: list[tuple[float, float, float]]
 
 
 def _transfer_matrix(state_cutoff: int, weight, illegal: float) -> np.ndarray:
@@ -117,50 +127,86 @@ def _length_matrix(state_cutoff: int) -> np.ndarray:
     return _transfer_matrix(state_cutoff, lambda d: q / (d * d), 0.0)
 
 
-def _spectral_radius(weights: np.ndarray) -> float:
-    """Dominant eigenvalue of a non-negative matrix by power iteration."""
-    n = weights.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = weights @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        lam_new = float(v @ w)
-        v = w / norm
-        if abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    raise ArithmeticError("power iteration did not converge")
-
-
 def pressure_dimension(state_cutoff: int,
                        tolerance: float = 1e-6) -> PressureEstimate:
-    """Solve spectral-radius(T_s) = 1 by bisection.
+    """Solve spectral-radius(T_s) = 1 by bisection on certified decisions.
 
     T_s[m, l] = (q / d(m, l)^2)^s over legal transitions with symbols
-    <= state_cutoff.  lambda(s) is strictly decreasing in s, and at s = 1
-    the hole deficit forces lambda < 1, so s* lower-bounds the dimension
-    of the full construction.
+    <= state_cutoff.  lambda(s) = rho(T_s) is strictly decreasing in s, and
+    at s = 1 the hole deficit forces lambda < 1, so s* lower-bounds the
+    dimension of the full construction.
+
+    Each lambda(s) is only placed on one side of 1.  For any positive v,
+    w = T_s v gives the Collatz-Wielandt bracket
+    min_i w_i / v_i <= rho(T_s) <= max_i w_i / v_i; v is iterated
+    (w normalised by its maximum, which stays positive because every row
+    of T_s has a positive entry), the best lower and upper bounds seen are
+    kept, and iteration stops as soon as the bracket lies wholly below 1 or
+    wholly at or above 1.  The final v starts the next evaluation.
+
+    Certification.  Let u = 2^-53, K = state_cutoff and Lambda the largest
+    |log(q / d^2)| over legal steps.  Assuming np.log and np.exp are
+    accurate to 4 ulp (8u relative), the computed ratios carry three
+    errors:
+
+    * the log weight lw = fl(log q) - 2 log d is off by at most
+      u|log q| + 16u log d + u|lw| <= 9u|lw|, and s * lw adds u s|lw|, so
+      the exponent is off by at most 10u s Lambda, a relative error of
+      the same size in exp(s * lw);
+    * np.exp adds 8u;
+    * each w_i is a (K + 1)-term sum of non-negative products, accurate to
+      (K + 1)u / (1 - (K + 1)u) in any summation order, and the division
+      by v_i adds u.
+
+    With N = K + 1 + 10 s Lambda + 12 (the extra 3u cover the widening
+    products and every second-order term) the bracket is widened by the
+    relative slack N u / (1 - N u), about 1e-13 for K = 1001.  Every
+    "rho < 1" and "rho >= 1" is then a proof, so [lo, hi] is a rigorous
+    bracket on s* of the truncated system.
+
+    Stall rule.  When an iteration improves neither bound, lambda(s) cannot
+    be separated from 1 in float arithmetic, and the bisection ends with
+    its current certified [lo, hi].
     """
     if state_cutoff < 1:
         raise ValueError("state_cutoff must be >= 1")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     lw = _log_weight_matrix(state_cutoff)
-    trace: list[tuple[float, float]] = []
+    log_span = -float(np.min(lw, initial=0.0, where=lw > -np.inf))
+    t = np.empty_like(lw)
+    v = np.ones(state_cutoff + 1)
+    trace: list[tuple[float, float, float]] = []
 
-    def lam(s: float) -> float:
-        val = _spectral_radius(np.exp(s * lw))
-        trace.append((s, val))
-        return val
+    def below_one(s: float) -> bool | None:
+        """True if rho(T_s) < 1, False if rho(T_s) >= 1, None if the
+        bracket stalls around 1."""
+        nonlocal v
+        np.multiply(lw, s, out=t)
+        np.exp(t, out=t)
+        n = state_cutoff + 1 + 10 * s * log_span + 12
+        slack = n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+        lo, hi = 0.0, math.inf
+        while hi >= 1.0 > lo:
+            w = t @ v
+            ratio = w / v
+            new_lo = float(ratio.min()) * (1 - slack)
+            new_hi = float(ratio.max()) * (1 + slack)
+            if new_lo <= lo and new_hi >= hi:
+                break
+            lo, hi = max(lo, new_lo), min(hi, new_hi)
+            v = w / w.max()
+        trace.append((s, lo, hi))
+        if hi < 1.0:
+            return True
+        return False if lo >= 1.0 else None
 
     hi = 1.0
-    if lam(hi) >= 1.0:
-        raise ArithmeticError("lambda(1) >= 1: transfer matrix malformed")
+    if below_one(hi) is not True:
+        raise ArithmeticError(
+            "lambda(1) not certified below 1: transfer matrix malformed")
     lo = 0.5
-    while lam(lo) < 1.0:
+    while below_one(lo) is not False:  # None is not yet a certified >= 1
         lo /= 2
         if lo < 1e-6:
             raise ArithmeticError("no bracket: state_cutoff too small")
@@ -168,13 +214,16 @@ def pressure_dimension(state_cutoff: int,
         mid = (lo + hi) / 2
         if mid in (lo, hi):  # [lo, hi] is down to adjacent floats
             break
-        if lam(mid) < 1.0:
+        below = below_one(mid)
+        if below is None:  # lambda(mid) cannot be told from 1
+            break
+        if below:
             hi = mid
         else:
             lo = mid
     return PressureEstimate(state_cutoff=state_cutoff,
-                            s_star=(lo + hi) / 2, tolerance=tolerance,
-                            lambda_trace=trace)
+                            s_star=(lo + hi) / 2, s_bracket=(lo, hi),
+                            tolerance=tolerance, lambda_trace=trace)
 
 
 @dataclass

@@ -40,6 +40,12 @@ def _to_mpf(s):
     return mp.mpf(s)
 
 
+def decimal_str(x, precision: int) -> str:
+    """x to 25 significant digits, or to the fewer decimal digits that a
+    precision-bit value carries (mpmath's prec_to_dps: 15 at 53 bits)."""
+    return mp.nstr(x, min(25, mp.libmp.prec_to_dps(precision)))
+
+
 def _frac_iv(x: Fraction):
     return mp.iv.mpf(x.numerator) / mp.iv.mpf(x.denominator)
 
@@ -184,9 +190,10 @@ class CylinderGeometry:
                 "den": self.length_coeff.denominator,
                 "depth": self.depth,
             },
-            "decimal_left": mp.nstr(self.left.evaluate(precision), 25),
-            "decimal_length": mp.nstr(
-                self.length_poly.evaluate(precision), 25),
+            "decimal_left": decimal_str(self.left.evaluate(precision),
+                                        precision),
+            "decimal_length": decimal_str(
+                self.length_poly.evaluate(precision), precision),
             "precision_bits": precision,
         }
 

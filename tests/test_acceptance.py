@@ -70,7 +70,11 @@ def test_furstenberg_ratio():
 
 
 def test_pressure_monotonicity():
-    _check(verify.criterion_pressure())
+    _check(verify.criterion_pressure(), {
+        "cutoffs": [2, 5, 10, 50, 100, 500],
+        "s_star": [0.5544295310974121, 0.7978949546813965, 0.8963770866394043,
+                   0.9799304008483887, 0.9901461601257324,
+                   0.9980788230895996]})
 
 
 def test_lebesgue_level_mass_decay():

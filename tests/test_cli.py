@@ -1,8 +1,13 @@
 import json
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from cantorwalk.cli import main
+from cantorwalk.coding import AdmissibleWord
+from cantorwalk.geometry import cylinder_interval, hole
+from cantorwalk.measure import MeasureParams, cylinder_mass
 
 
 def run(capsys, *argv):
@@ -72,6 +77,19 @@ def test_walk_boundary_alpha_needs_flag(capsys):
                        "--alpha", "1", "--steps", "10", "--seed", "1")
     assert code == 2
     assert "allow-boundary" in json.loads(err)["message"]
+
+
+def test_dim_boundary_alpha_needs_flag(capsys):
+    argv = ("dim", "--alpha", "1", "--depth", "100", "--seed", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "allow-boundary" in json.loads(err)["message"]
+    code, out, _ = run(capsys, *argv, "--allow-boundary",
+                       "--rows-per-path", "4")
+    assert code == 0
+    data = [l for l in out.splitlines() if not l.startswith("#")]
+    assert data[0] == "path_id,n,ratio,furstenberg_ratio"
+    assert len(data) == 1 + 4
 
 
 def test_dim_subcommand(capsys):
@@ -178,3 +196,38 @@ def test_beta_two_boundary_runs(capsys, argv):
     rows = [tuple(map(int, l.split(","))) for l in lines[1:]]
     assert [(p, n) for p, n, _ in rows] == [
         (p, n) for p in range(2) for n in range(21)]
+
+
+def significant_digits(text):
+    mantissa = text.lstrip("-").split("e")[0].replace(".", "")
+    return len(mantissa.lstrip("0"))
+
+
+@pytest.mark.parametrize("bits", [53, 64, 84])
+def test_printed_decimals_carry_only_the_precision(capsys, bits):
+    # every printed decimal is the 256-bit value rounded to as many
+    # significant digits as were printed
+    word = AdmissibleWord.parse("2")
+    geom = cylinder_interval(word)
+    cm = cylinder_mass(AdmissibleWord.parse("1,2"),
+                       MeasureParams(alpha=Fraction(3, 4), precision=256))
+    cases = [
+        (("intervals", "--word", "2"), {
+            ("decimal_left",): geom.left.evaluate(256),
+            ("decimal_length",): geom.length_poly.evaluate(256),
+            ("hole", "decimal_length"): hole(word).length.evaluate(256)}),
+        (("measure", "--word", "1,2", "--alpha", "3/4"), {
+            ("mass_decimal",): cm.value(),
+            ("log_mass",): cm.log_value()}),
+    ]
+    for argv, reference in cases:
+        code, out, _ = run(capsys, *argv, "--precision", str(bits))
+        assert code == 0
+        payload = json.loads(out)
+        for keys, exact in reference.items():
+            printed = payload
+            for key in keys:
+                printed = printed[key]
+            digits = significant_digits(printed)
+            assert 15 <= digits <= 25
+            assert printed == mp.nstr(exact, digits)

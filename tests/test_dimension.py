@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -100,24 +102,87 @@ def loop_denominators(cutoff):
 
 
 def test_lambda_trace_matches_eigvals_oracle():
+    # each evaluation is a bracket [lo, hi] on the spectral radius that
+    # holds the oracle and lies on the oracle's side of 1; only a final
+    # undecidable entry may straddle 1
     q = float(q_value(80))
     for cutoff in (1, 2, 3):
         d = loop_denominators(cutoff)
-        for s, lam in pressure_dimension(cutoff).lambda_trace:
+        trace = pressure_dimension(cutoff).lambda_trace
+        for i, (s, lo, hi) in enumerate(trace):
             m = np.zeros((cutoff + 1, cutoff + 1))
             for a in range(cutoff + 1):
                 for b in range(cutoff + 1):
                     if d[a][b] is not None:
                         m[a, b] = (q / d[a][b] ** 2) ** s
             oracle = float(np.max(np.abs(np.linalg.eigvals(m))))
-            assert lam == pytest.approx(oracle, rel=1e-9)
+            assert lo <= oracle <= hi
+            if lo < 1.0 <= hi:
+                assert i == len(trace) - 1
+            else:
+                assert (hi < 1.0) == (oracle < 1.0)
+
+
+def test_stalled_brackets_hold_the_exact_radius():
+    # K = 1: T_s = [[0, a], [a, c]] with a = q^s, c = (q/4)^s, so
+    # rho = (c + sqrt(c^2 + 4 a^2)) / 2.  At a tolerance below float
+    # spacing the bisection runs into brackets only the float slack keeps
+    # around rho
+    est = pressure_dimension(1, tolerance=1e-300)
+    lo, hi = est.s_bracket
+    assert hi - lo < 1e-13
+    with mp.workprec(200):
+        q = q_value(200)
+        for s, lam_lo, lam_hi in est.lambda_trace:
+            a, c = q ** s, (q / 4) ** s
+            rho = (c + mp.sqrt(c * c + 4 * a * a)) / 2
+            assert lam_lo <= rho <= lam_hi
 
 
 def test_lambda_trace_decreasing_in_s():
+    # lambda(s) decreases in s, so the bracket at a larger s starts below
+    # the top of the bracket at any smaller s
     trace = sorted(pressure_dimension(5).lambda_trace)
-    vals = [lam for _, lam in trace]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert dict(trace)[1.0] < 1.0
+    for (_, _, hi1), (_, lo2, _) in itertools.combinations(trace, 2):
+        assert lo2 < hi1
+    assert {s: hi for s, _, hi in trace}[1.0] < 1.0
+
+
+# s*(K) at the default tolerance, recorded from a power iteration run to
+# 1e-12 relative accuracy; s* depends only on which side of 1 each
+# lambda(s) lies, not on the solver
+PINNED_S_STAR = {
+    1: 0.27971136569976807,
+    2: 0.5544295310974121,
+    5: 0.7978949546813965,
+    10: 0.8963770866394043,
+    50: 0.9799304008483887,
+    100: 0.9901461601257324,
+    200: 0.995140552520752,
+    500: 0.9980788230895996,
+    1000: 0.9990439414978027,
+}
+
+
+@functools.cache
+def _estimate(cutoff):
+    return pressure_dimension(cutoff)
+
+
+@pytest.mark.parametrize("cutoff", sorted(PINNED_S_STAR))
+def test_pressure_s_star_is_pinned(cutoff):
+    assert _estimate(cutoff).s_star == PINNED_S_STAR[cutoff]
+
+
+@pytest.mark.parametrize("cutoff", sorted(PINNED_S_STAR))
+def test_pinned_s_star_lies_in_its_certified_bracket(cutoff):
+    est = _estimate(cutoff)
+    lo, hi = est.s_bracket
+    assert lo <= PINNED_S_STAR[cutoff] <= hi
+    assert 0 < hi - lo <= est.tolerance
+    # both ends are certified evaluations on their side of 1
+    bracket = {s: (lam_lo, lam_hi) for s, lam_lo, lam_hi in est.lambda_trace}
+    assert bracket[lo][0] >= 1.0 > bracket[hi][1]
 
 
 def test_transfer_matrices_match_loop_reference():

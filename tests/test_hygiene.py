@@ -1,5 +1,6 @@
-"""Every module under src/cantorwalk uses every name it imports, and every
-CLI option is read by its subcommand.
+"""Every module under src/cantorwalk uses every name it imports, every
+CLI option is read by its subcommand, and every exported name is used
+outside the tests.
 
 A stdlib-only stand-in for a linter's unused-import rule: a name counts as
 used when it is loaded anywhere in the module (annotations included) or,
@@ -12,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
+import cantorwalk
 from cantorwalk import cli
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cantorwalk"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cantorwalk"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -65,3 +68,20 @@ def test_every_cli_option_is_read():
         unread += [f"{name} --{a.dest}" for a in sp._actions
                    if a.dest not in ("help", "out") and a.dest not in read]
     assert unread == []
+
+
+def test_every_exported_name_is_used():
+    # a name in __all__ that only tests read is test-only public API
+    files = ([p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+             + list((ROOT / "demos").glob("*.py"))
+             + [p for p in (ROOT / "bench").glob("*.py")
+                if not p.name.startswith("test_")])
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                used.add(node.attr)
+    assert sorted(set(cantorwalk.__all__) - used) == []
