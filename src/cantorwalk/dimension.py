@@ -7,6 +7,7 @@ they are evaluated directly in the log domain at any depth.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,16 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 def _log_q(precision: int = 80) -> float:
     with mp.workprec(precision):
         return float(mp.log(q_value(precision)))
+
+
+@functools.cache
+def _dim_constants(alpha: Fraction, precision: int) -> tuple[float, float]:
+    """log q and log 2 zeta(2 alpha) of ``dim_series``, from precision-bit
+    mpmath values; cached, so dim_series runs no mpmath after its first
+    call at an (alpha, precision)."""
+    with mp.workprec(precision):
+        return (_log_q(precision),
+                float(mp.log(2 * measure.zeta(2 * alpha, precision))))
 
 
 @dataclass
@@ -61,9 +72,7 @@ def dim_series(path_or_symbols, alpha, precision: int = 80) -> DimSeries:
     if np.any(d <= 0):
         raise ValueError("prefix is not admissible")
     f = measure.numerator_array(d, s, float(2 * alpha))
-    log_q = _log_q(precision)
-    with mp.workprec(precision):
-        log_2zb = float(mp.log(2 * measure.zeta(2 * alpha, precision)))
+    log_q, log_2zb = _dim_constants(alpha, precision)
     nn = np.arange(1, symbols.size + 1, dtype=np.float64)
     log_len = nn * log_q - 2 * np.cumsum(np.log(d))
     log_mass = -nn * log_2zb + np.cumsum(np.log(f))

@@ -8,6 +8,7 @@ number here is reproducible bit for bit.
 from __future__ import annotations
 
 import functools
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -198,13 +199,39 @@ def _path_batch(scalars, seed: int, alpha: Fraction, n_paths: int,
                 steps: int) -> np.ndarray:
     """Row i is ``scalars(path i)`` of a frozen dissipative batch; the
     paths themselves are not kept.  run_all clears this cache, so one run
-    simulates each batch once, in the first criterion that reads it."""
+    simulates each batch once, in the first criterion that reads it.
+
+    Path 0 runs in the calling thread; paths 1 .. n_paths - 1 are split
+    into contiguous path-id ranges, one thread per usable CPU.  Each path
+    has its own seeded generator and the rows are joined in path order, so
+    they do not depend on the number of CPUs.  The worker threads must run
+    numpy only: mpmath's precision is one global context, and two threads
+    inside ``mp.workprec`` can compute at the wrong precision and leave
+    ``mp.prec`` changed.  Path 0 fills every cache a path touches (the
+    sampler table, ``measure.zeta``, the envelope thresholds and the
+    ``dim_series`` constants) before the workers start.
+    """
+    # imported here: concurrent.futures loads logging, about 4 ms and 1 MiB
+    # that the CLI commands, which import this module, need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
     params = walks.WalkParams(kind="dissipative", steps=steps, seed=seed,
                               alpha=alpha)
-    rows = np.array([scalars(walks.simulate_path(params, path_id=i))
-                     for i in range(n_paths)])
-    rows.flags.writeable = False  # every reader of the batch shares it
-    return rows
+
+    def rows(path_ids: range) -> list:
+        return [scalars(walks.simulate_path(params, path_id=i))
+                for i in path_ids]
+
+    first = rows(range(1))
+    rest = range(1, n_paths)
+    n_workers = max(min(len(os.sched_getaffinity(0)), len(rest)), 1)
+    parts = [rest[len(rest) * k // n_workers:len(rest) * (k + 1) // n_workers]
+             for k in range(n_workers)]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        out = np.array(first + [row for part in pool.map(rows, parts)
+                                for row in part])
+    out.flags.writeable = False  # every reader of the batch shares it
+    return out
 
 
 def _returns(path: walks.WalkPath) -> np.ndarray:
@@ -371,7 +398,8 @@ ALL_CRITERIA = [
 def run_all(quick: bool = False) -> list[CriterionResult]:
     """Run the verification suite; quick mode shrinks the Monte Carlo sizes.
 
-    Every call simulates its path batches afresh, each batch once.
+    Every call simulates its path batches afresh, each batch once, on one
+    thread per usable CPU; the results are the same at any CPU count.
     """
     _path_batch.cache_clear()
     if not quick:

@@ -26,8 +26,7 @@ import mpmath as mp
 import numpy as np
 
 from . import measure
-from .geometry import _to_mpf
-from .measure import MeasureParams
+from .geometry import _to_mpf, step_arrays
 
 TABLE_SIZE = 1 << 16  # inverse-CDF table covers |jump| <= 2^16
 _GUIDE_SIZE = 1 << 16  # guide buckets; a power of two, so u * size is exact
@@ -199,37 +198,53 @@ def simulate_path(params: WalkParams, path_id: int = 0) -> WalkPath:
     return WalkPath(params=params, path_id=path_id, states=states, jumps=jumps)
 
 
+def _kernel_pair(beta: Fraction, precision: int):
+    """The folded and the dissipative kernel at beta, as functions of
+    (m, l); call them inside ``mp.workprec(precision)``.
+
+    The folded side sums p(j) = |j|^-beta / (2 zeta(beta)), p(0) = 0, over
+    the jumps j in {l - m, -l - m} (one jump when l = 0).  The dissipative
+    side is ``measure.transition_prob``'s (d^-beta + s^-beta) / (2 zeta)
+    over the step (d, s) of ``step_arrays`` (no s term where s = 0).  Both
+    read one cache of k^-beta, which over m, l <= m_max holds about 2 m_max
+    magnitudes.
+    """
+    with mp.workprec(precision):
+        b = _to_mpf(beta)
+        two_z = 2 * measure.zeta(beta, precision)
+
+    @functools.cache
+    def power(k: int):
+        return mp.mpf(k) ** (-b)
+
+    def folded(m: int, l: int):
+        return sum(power(abs(j)) / two_z for j in {l - m, -l - m} if j)
+
+    def dissipative(m: int, l: int):
+        return sum(power(x) for x in step_arrays(m, l) if x) / two_z
+
+    return folded, dissipative
+
+
 def folded_kernel_identity(beta, m_max: int, precision: int = 256) -> float:
     """Max |folded kernel - dissipative kernel| over states m, l <= m_max.
 
     The folded side comes from the signed-jump law alone: P(|m + L| = l) is
-    the sum of p(j) = |j|^-beta / (2 zeta(beta)), p(0) = 0, over the jumps
-    j in {l - m, -l - m} (one jump when l = 0).  The dissipative kernel
-    comes from the measure module at alpha = beta/2.  The folding identity
-    makes them equal, so only rounding remains.
+    the sum of the jump probabilities over {l - m, -l - m}.  The dissipative
+    side is the kernel of the measure module at alpha = beta/2 (tests check
+    it bit for bit against ``measure.transition_prob``).  The folding
+    identity makes them equal, so only rounding remains.
     """
     beta = Fraction(beta)
     if not (1 < beta <= 2):
         raise ValueError(f"beta must lie in (1, 2], got {beta}")
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    params = MeasureParams(alpha=beta / 2, precision=precision)
     with mp.workprec(precision):
-        b = _to_mpf(beta)
-        z = measure.zeta(beta, precision)
-
-        @functools.cache
-        def p_abs(k: int):  # p(j) at |j| = k; about 2 m_max magnitudes occur
-            return mp.mpf(k) ** (-b) / (2 * z) if k else mp.mpf(0)
-
-        worst = mp.mpf(0)
-        for m in range(m_max + 1):
-            for l in range(m_max + 1):
-                folded = sum(p_abs(abs(j)) for j in {l - m, -l - m})
-                diff = abs(folded - measure.transition_prob(m, l, params))
-                if diff > worst:
-                    worst = diff
-        return float(worst)
+        folded, dissipative = _kernel_pair(beta, precision)
+        states = range(m_max + 1)
+        return float(max(abs(folded(m, l) - dissipative(m, l))
+                         for m in states for l in states))
 
 
 def suffix_minima(states: np.ndarray, checkpoints) -> np.ndarray:

@@ -1,6 +1,14 @@
-"""Structure of the verification suite: criterion metadata and the rule
-that one run simulates each frozen path batch exactly once."""
+"""Structure of the verification suite: criterion metadata, the rule that
+one run simulates each frozen path batch exactly once, and the threaded
+batches, which must equal a serial loop at any CPU count."""
 import collections
+import os
+import sys
+from fractions import Fraction
+
+import mpmath as mp
+import numpy as np
+import pytest
 
 from cantorwalk import verify, walks
 
@@ -42,3 +50,72 @@ def test_each_path_is_simulated_once_per_run(monkeypatch):
     assert len(calls) == 9 and set(calls.values()) == {1}
     verify.run_all()  # a second run simulates its batches again
     assert len(calls) == 9 and set(calls.values()) == {2}
+
+
+BATCH = (verify.SEED_TRANSIENCE, Fraction(3, 4), 7, 300)
+
+
+def shrink(monkeypatch):  # criterion constants that fit paths of 300 steps
+    for name, value in (("CHECKPOINTS", (10, 50, 100)), ("ENVELOPE_N0", 10),
+                        ("DIMENSION_N0", 10)):
+        monkeypatch.setattr(verify, name, value)
+
+
+def same(a, b):  # bit for bit
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def serial_rows(scalars, seed, alpha, n_paths, steps):
+    params = walks.WalkParams(kind="dissipative", steps=steps, seed=seed,
+                              alpha=alpha)
+    return np.array([scalars(walks.simulate_path(params, path_id=i))
+                     for i in range(n_paths)])
+
+
+@pytest.mark.parametrize("scalars", [verify._returns,
+                                     verify._returns_and_violations,
+                                     verify._dimension_scalars],
+                         ids=lambda fn: fn.__name__)
+def test_path_batch_rows_match_serial_at_any_cpu_count(monkeypatch,
+                                                       scalars):
+    shrink(monkeypatch)
+    expected = serial_rows(scalars, *BATCH)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)))
+            rows = verify._path_batch.__wrapped__(scalars, *BATCH)
+            assert same(rows, expected) and not rows.flags.writeable
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_path_batch_of_one_path(monkeypatch):
+    shrink(monkeypatch)
+    rows = verify._path_batch.__wrapped__(verify._returns, *BATCH[:2], 1, 300)
+    assert same(rows, serial_rows(verify._returns, *BATCH[:2], 1, 300))
+
+
+def test_worker_exception_propagates():
+    n_paths = BATCH[2]
+
+    def failing(path):
+        if path.path_id == n_paths - 1:  # never path 0, the calling thread's
+            raise RuntimeError("scalars failed")
+        return path.states[-1]
+
+    with pytest.raises(RuntimeError, match="scalars failed"):
+        verify._path_batch.__wrapped__(failing, *BATCH)
+
+
+def test_dimension_batch_keeps_mpmath_precision(monkeypatch):
+    shrink(monkeypatch)
+    monkeypatch.setattr(verify, "DIMENSION_PATHS", 5)
+    monkeypatch.setattr(verify, "DIMENSION_DEPTH", 300)
+    verify._path_batch.cache_clear()
+    prec = mp.mp.prec
+    assert verify._dimension_batch().shape == (5, 3)
+    assert mp.mp.prec == prec
+    verify._path_batch.cache_clear()

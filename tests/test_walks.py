@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from cantorwalk.walks import (
     TABLE_SIZE,
     WalkParams,
     ZetaJumpSampler,
+    _kernel_pair,
     folded_kernel_identity,
     gamma_envelope_violations,
     increment_tail_prob,
@@ -178,6 +180,18 @@ def test_walkparams_validation():
 def test_folded_kernel_identity_is_tiny():
     for beta in (Fraction(6, 5), Fraction(2)):  # beta = 2: alpha = 1
         assert folded_kernel_identity(beta, 20, 128) < 1e-30
+
+
+def test_folded_check_dissipative_side_is_transition_prob():
+    # the criterion's cached kernel certifies transition_prob bit for bit
+    for beta in (Fraction(6, 5), B32, Fraction(9, 5), Fraction(2)):
+        params = MeasureParams(alpha=beta / 2, precision=256)
+        _, dissipative = _kernel_pair(beta, 256)
+        with mp.workprec(256):
+            cached = [dissipative(m, l)._mpf_
+                      for m in range(31) for l in range(31)]
+        assert cached == [transition_prob(m, l, params)._mpf_
+                          for m in range(31) for l in range(31)]
 
 
 def test_empirical_one_step_matches_kernel():
