@@ -9,8 +9,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -77,14 +75,16 @@ def _emit(args, payload: dict) -> None:
     _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _emit_csv(args, header: list[str], rows, meta: dict) -> None:
-    buf = io.StringIO()
-    for key, val in sorted(meta.items()):
-        buf.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write(args, buf.getvalue())
+def _emit_csv(args, header: list[str], lines: list[str], meta: dict) -> None:
+    """Write ``# key: json`` metadata lines, the header row and ``lines``.
+
+    ``lines`` are data rows as newline-terminated text whose fields never
+    need quoting: integers, ``%g`` floats or empty.  Everything is written
+    at once, after every line is built, so an error leaves no output.
+    """
+    head = [f"# {key}: {json.dumps(val, sort_keys=True)}\n"
+            for key, val in sorted(meta.items())]
+    _write(args, "".join(head + [",".join(header) + "\n"] + lines))
 
 
 def cmd_intervals(args) -> int:
@@ -138,7 +138,7 @@ def cmd_walk(args) -> int:
             raise CliError(f"{args.kind} walk needs --beta")
         kwargs["beta"] = args.beta
     params = walks.WalkParams(**kwargs)
-    if args.checkpoints:
+    if args.checkpoints is not None:
         checkpoints = [int(t) for t in args.checkpoints.split(",")]
         rep = walks.transience_stats(params, args.paths, checkpoints)
         payload = {
@@ -153,17 +153,18 @@ def cmd_walk(args) -> int:
         }
         _emit(args, payload)
         return 0
-    rows = []
+    lines = []  # one string per path
     for i in range(args.paths):
-        path = walks.simulate_path(params, path_id=i)
-        rows.extend((i, n, int(s)) for n, s in enumerate(path.states))
-    _emit_csv(args, ["path_id", "step", "state"], rows, _meta(args))
+        states = walks.simulate_path(params, path_id=i).states.tolist()
+        lines.append("".join(f"{i},{n},{s}\n"
+                             for n, s in enumerate(map(int, states))))
+    _emit_csv(args, ["path_id", "step", "state"], lines, _meta(args))
     return 0
 
 
 def cmd_dim(args) -> int:
     _check_boundary(args.alpha, args.allow_boundary)
-    rows = []
+    lines = []
     finals = []
     for i in range(args.paths):
         path = walks.simulate_path(
@@ -171,17 +172,17 @@ def cmd_dim(args) -> int:
                              seed=args.seed, alpha=args.alpha), path_id=i)
         s = dimension.dim_series(path, args.alpha)
         finals.append(s.ratio[-1])
-        stride = max(1, args.depth // max(args.rows_per_path, 1))
+        stride = max(1, args.depth // args.rows_per_path)
         for n in range(stride - 1, args.depth, stride):
-            fr = s.furstenberg[n] if n < s.furstenberg.size else ""
-            rows.append((i, int(s.n[n]), f"{s.ratio[n]:.12g}",
-                         f"{fr:.12g}" if fr != "" else ""))
+            # the last depth has no Furstenberg ratio: an empty field
+            fr = f"{s.furstenberg[n]:.12g}" if n < s.furstenberg.size else ""
+            lines.append(f"{i},{int(s.n[n])},{s.ratio[n]:.12g},{fr}\n")
     quantiles = {p: float(np.quantile(finals, p))
                  for p in (0.05, 0.25, 0.5, 0.75, 0.95)}
     meta = _meta(args)
     meta["final_ratio_quantiles"] = {str(k): v for k, v in quantiles.items()}
     _emit_csv(args, ["path_id", "n", "ratio", "furstenberg_ratio"],
-              rows, meta)
+              lines, meta)
     return 0
 
 
@@ -201,10 +202,10 @@ def cmd_pressure(args) -> int:
 
 def cmd_lebesgue(args) -> int:
     decay = dimension.lebesgue_mass_decay(args.depth, args.cutoff)
-    rows = [(n + 1, f"{m:.15g}", f"{b:.6g}")
-            for n, (m, b) in enumerate(zip(decay.level_mass,
-                                           decay.overcount_bound))]
-    _emit_csv(args, ["level", "mass", "overcount_bound"], rows, _meta(args))
+    lines = [f"{n},{m:.15g},{b:.6g}\n"
+             for n, (m, b) in enumerate(zip(decay.level_mass,
+                                            decay.overcount_bound), start=1)]
+    _emit_csv(args, ["level", "mass", "overcount_bound"], lines, _meta(args))
     return 0
 
 
@@ -271,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--paths", default=1,
                     type=lambda t: _int_at_least(t, "paths", 1))
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--rows-per-path", type=int, default=100)
+    sp.add_argument("--rows-per-path", default=100,
+                    type=lambda t: _int_at_least(t, "rows-per-path", 1))
     sp.add_argument("--allow-boundary", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_dim)

@@ -224,7 +224,9 @@ def _path_batch(scalars, seed: int, alpha: Fraction, n_paths: int,
 
     first = rows(range(1))
     rest = range(1, n_paths)
-    n_workers = max(min(len(os.sched_getaffinity(0)), len(rest)), 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # sched_getaffinity is Linux-only
+    n_workers = max(min(cpus, len(rest)), 1)
     parts = [rest[len(rest) * k // n_workers:len(rest) * (k + 1) // n_workers]
              for k in range(n_workers)]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:

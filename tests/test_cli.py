@@ -1,9 +1,18 @@
+import contextlib
+import csv
+import dataclasses
+import hashlib
+import io
 import json
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cantorwalk import walks
 from cantorwalk.cli import main
 from cantorwalk.coding import AdmissibleWord
 from cantorwalk.geometry import cylinder_interval, hole
@@ -157,6 +166,8 @@ WALK = ("walk", "--kind", "dissipative", "--alpha", "3/4", "--steps", "10",
     WALK + ("--checkpoints", "5", "--paths", "0"),
     WALK + ("--paths", "-1"),
     WALK + ("--paths", "two"),
+    # an empty list printed the CSV walk instead of a summary
+    WALK + ("--checkpoints", ""),
     ("dim", "--alpha", "3/4", "--depth", "10", "--seed", "1", "--paths", "0"),
     # argparse usage errors: missing option, unknown flag, bad integer
     ("intervals",),
@@ -167,6 +178,11 @@ WALK = ("walk", "--kind", "dissipative", "--alpha", "3/4", "--steps", "10",
     ("intervals", "--word", "2", "--precision", "0"),
     ("measure", "--word", "1,2", "--alpha", "3/4", "--precision", "1"),
     ("intervals", "--word", "2", "--precision", "52"),
+    # rows-per-path below 1 printed one row per path with exit 0
+    ("dim", "--alpha", "3/4", "--depth", "50", "--seed", "1", "--paths", "2",
+     "--rows-per-path", "0"),
+    ("dim", "--alpha", "3/4", "--depth", "50", "--seed", "1", "--paths", "2",
+     "--rows-per-path", "-3"),
 ])
 def test_bad_inputs_are_clean_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -231,3 +247,163 @@ def test_printed_decimals_carry_only_the_precision(capsys, bits):
             digits = significant_digits(printed)
             assert 15 <= digits <= 25
             assert printed == mp.nstr(exact, digits)
+
+
+# sha256 of stdout, recorded with the earlier csv.writer emitter
+CSV_PINS = [
+    (("walk", "--kind", "dissipative", "--alpha", "51/100", "--steps", "200",
+      "--paths", "3", "--seed", "11"),  # states of up to 196 digits
+     "298827722d5ea081d17bfebcbd8d377f5bfa1fda2cf31b2f8a3ea56a563d8849"),
+    (("walk", "--kind", "cauchy_Z", "--beta", "6/5", "--steps", "200",
+      "--paths", "2", "--seed", "12"),  # negative states
+     "51adff619a63a9b8c53f7f5596c32ab621413974148e1fd0a734600e175d91b5"),
+    (("walk", "--kind", "folded", "--beta", "3/2", "--steps", "200",
+      "--paths", "2", "--seed", "13"),
+     "524b88c3b44dc086e0296dbf4c65b21450735a6789fdcc2adc6bededd62a0625"),
+    (("dim", "--alpha", "3/4", "--depth", "200", "--paths", "2", "--seed",
+      "6", "--rows-per-path", "4"),  # last row: empty furstenberg_ratio
+     "491c0f4cd6c6c8a40fe5caef7de3291e51f9a9e46ca63e83bceb3bb63cf520fa"),
+    (("lebesgue", "--depth", "5", "--cutoff", "20"),
+     "d1d39cf2eb8d38c39737fe35d69ff5657d54ad30bab310148cc01426a8707d2f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CSV_PINS, ids=[
+    "walk-dissipative", "walk-cauchy_Z", "walk-folded", "dim", "lebesgue"])
+def test_csv_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    target = tmp_path / "out.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == ""
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_walk_error_leaves_no_output(tmp_path, capsys, monkeypatch):
+    simulate = walks.simulate_path
+
+    def inf_in_path_1(params, path_id=0):
+        path = simulate(params, path_id)
+        if path_id == 1:
+            states = path.states.copy()
+            states[-1] = np.inf
+            path = dataclasses.replace(path, states=states)
+        return path
+
+    monkeypatch.setattr(walks, "simulate_path", inf_in_path_1)
+    code, out, err = run(capsys, *WALK, "--paths", "3")
+    assert code == 2 and out == ""
+    assert set(json.loads(err)) == {"error", "message"}
+    target = tmp_path / "walk.csv"
+    code, _, _ = run(capsys, *WALK, "--paths", "3", "--out", str(target))
+    assert code == 2 and not target.exists()
+
+
+# ------------------------------------------- properties over the CLI domains
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _options(required: dict, optional: dict):
+    """argv tokens for every required option and a subset of the optional
+    ones; a strategy that draws True gives a bare flag."""
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda opts: [tok for name, value in opts.items()
+                      for tok in ([f"--{name}"] if value is True
+                                  else [f"--{name}", value])])
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+RATIONAL = st.one_of(
+    st.builds("{}/{}".format, st.integers(-2, 12), st.integers(-1, 12)),
+    st.sampled_from(["1", "2", "0.75", "1e0", "x"]))
+
+
+def _mostly(valid, anything):
+    """Draws from ``valid`` about three times in four, else ``anything``."""
+    return st.integers(0, 3).flatmap(lambda k: anything if k == 0 else valid)
+
+
+ALPHA = _mostly(st.fractions(Fraction(1, 2), 1, max_denominator=100)
+                .filter(lambda a: a > Fraction(1, 2)).map(str), RATIONAL)
+BETA = _mostly(st.fractions(1, 2, max_denominator=100)
+               .filter(lambda b: b > 1).map(str), RATIONAL)
+WORD = _mostly(st.lists(st.integers(1, 4), max_size=5),
+               st.lists(st.integers(-1, 4), max_size=5)).map(
+    lambda w: ",".join(map(str, w)))
+FLAG = st.just(True)
+
+
+def _walk_options(kind):
+    # the exponent of the kind is always given, the other one sometimes
+    own, other = (("alpha", "beta") if kind == "dissipative"
+                  else ("beta", "alpha"))
+    exponent = {"alpha": ALPHA, "beta": BETA}
+    return _options(
+        {"kind": st.just(kind), own: exponent[own], "steps": _ints(-1, 30),
+         "seed": _ints(-1, 99)},
+        {other: exponent[other], "paths": _ints(-1, 3),
+         "checkpoints": st.lists(st.integers(-1, 12), max_size=3).map(
+             lambda c: ",".join(map(str, c))),
+         "allow-boundary": FLAG})
+
+
+SUBCOMMANDS = {
+    "intervals": _options({"word": WORD}, {"precision": _ints(40, 300)}),
+    "measure": _options({"word": WORD, "alpha": ALPHA},
+                        {"precision": _ints(50, 120),
+                         "truncation": _ints(-2, 40)}),
+    "walk": st.sampled_from(["cauchy_Z", "folded", "dissipative"]).flatmap(
+        _walk_options),
+    "dim": _options({"alpha": ALPHA, "depth": _ints(-1, 60),
+                     "seed": _ints(-1, 99)},
+                    {"paths": _ints(-1, 3), "rows-per-path": _ints(-1, 10),
+                     "allow-boundary": FLAG}),
+    "pressure": _options(
+        {"cutoff": _ints(-1, 6)},
+        {"tol": st.sampled_from(["1e-3", "1e-8", "1e-300", "0", "-1", "nan",
+                                 "inf", "x"])}),
+    "lebesgue": _options({"depth": _ints(-1, 6), "cutoff": _ints(-1, 12)},
+                         {}),
+}
+
+
+def check_run(argv):
+    """Exit 0 with parseable stdout and empty stderr, or exit 2 with empty
+    stdout and the JSON error on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning would reach stderr
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == ""
+        assert set(json.loads(err)) == {"error", "message"}
+        return
+    assert code == 0 and err == "" and caught == []
+    if argv[0] in ("intervals", "measure", "pressure") or \
+            "--checkpoints" in argv:
+        json.loads(out, parse_constant=_reject_constant)
+        return
+    lines = out.splitlines()
+    while lines[0].startswith("# "):
+        json.loads(lines.pop(0).partition(": ")[2],
+                   parse_constant=_reject_constant)
+    header, *rows = csv.reader(lines)
+    assert all(len(row) == len(header) for row in rows)
+    if argv[0] == "walk":
+        for row in rows:
+            int(row[2])  # raises unless the state is an integer
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(data=st.data())
+def test_cli_runs_cleanly_over_its_argument_domains(command, data):
+    check_run([command] + data.draw(SUBCOMMANDS[command]))

@@ -84,8 +84,9 @@ def test_path_batch_rows_match_serial_at_any_cpu_count(monkeypatch,
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid, n=cpus: set(range(n)))
+            monkeypatch.setattr(os, "sched_getaffinity",  # Linux-only
+                                lambda pid, n=cpus: set(range(n)),
+                                raising=False)
             rows = verify._path_batch.__wrapped__(scalars, *BATCH)
             assert same(rows, expected) and not rows.flags.writeable
     finally:
@@ -119,3 +120,14 @@ def test_dimension_batch_keeps_mpmath_precision(monkeypatch):
     assert verify._dimension_batch().shape == (5, 3)
     assert mp.mp.prec == prec
     verify._path_batch.cache_clear()
+
+
+def test_path_batch_without_sched_getaffinity(monkeypatch):
+    # os.sched_getaffinity exists only on Linux; elsewhere os.cpu_count
+    shrink(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    expected = serial_rows(verify._returns, *BATCH)
+    for cpu_count in (os.cpu_count, lambda: None):  # None: count unknown
+        monkeypatch.setattr(os, "cpu_count", cpu_count)
+        rows = verify._path_batch.__wrapped__(verify._returns, *BATCH)
+        assert same(rows, expected)
