@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -72,7 +73,17 @@ def _write(args, text: str) -> None:
 
 
 def _emit(args, payload: dict) -> None:
-    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # H2(t)'s exact coefficients pass Python's int-to-str limit (4300
+    # digits from 3.10.7 on; 0 is none) from t = 4956: lift it meanwhile
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    _write(args, text + "\n")
 
 
 def _emit_csv(args, header: list[str], lines: list[str], meta: dict) -> None:
@@ -91,7 +102,7 @@ def cmd_intervals(args) -> int:
     word = AdmissibleWord.parse(args.word)
     geom = geometry.cylinder_interval(word)
     payload = geom.to_json(args.precision)
-    h = geometry.hole(word)
+    h = geom.hole()
     payload["hole"] = {
         "left_poly": h.left.to_json(),
         "length_poly": h.length.to_json(),
@@ -299,6 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 2, -1, -1):
+        # argparse takes word text such as -1,2 for an option: attach it
+        if argv[i] == "--word" and re.match(r"-\d", argv[i + 1]):
+            argv[i:i + 2] = ["--word=" + argv[i + 1]]
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -20,6 +20,7 @@ from .geometry import q_value, step_arrays
 from .walks import WalkPath
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+_BLOCK_ROWS = 16  # transfer-matrix rows built at a time
 
 
 def _log_q(precision: int = 80) -> float:
@@ -112,14 +113,14 @@ class PressureEstimate:
 
 def _transfer_matrix(state_cutoff: int, weight, illegal: float) -> np.ndarray:
     """Matrix of weight(d(m, l)) over m, l <= state_cutoff, ``illegal``
-    where d = 0; built one row at a time to keep peak memory at one matrix.
-    """
+    where d = 0; built _BLOCK_ROWS rows at a time, so peak memory stays at
+    one matrix plus O(_BLOCK_ROWS * state_cutoff) of temporaries."""
     l = np.arange(state_cutoff + 1)
     out = np.empty((state_cutoff + 1, state_cutoff + 1))
     with np.errstate(divide="ignore"):
-        for m in range(state_cutoff + 1):
-            d, _ = step_arrays(m, l)
-            out[m] = np.where(d > 0, weight(d), illegal)
+        for m in range(0, state_cutoff + 1, _BLOCK_ROWS):
+            d, _ = step_arrays(l[m:m + _BLOCK_ROWS, None], l)
+            out[m:m + _BLOCK_ROWS] = np.where(d > 0, weight(d), illegal)
     return out
 
 

@@ -12,6 +12,7 @@ half of its parent.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +23,9 @@ from .coding import AdmissibleWord
 DEFAULT_PRECISION = 256
 
 _H_FLOAT_CACHE: dict[tuple[int, int], "mp.mpf"] = {}
+_H2_CAP = 1024
+_H2_PREFIX = [Fraction(0)]  # H2(0), H2(1), ... up to H2(_H2_CAP)
+_PHI_CAP = 4096  # phi_apply boundaries kept per precision
 
 
 class PrecisionError(ArithmeticError):
@@ -86,10 +90,9 @@ class QPolynomial:
     def evaluate(self, precision: int = DEFAULT_PRECISION):
         """Plain mpf evaluation at q (error within a few ulps of 2^-precision)."""
         with mp.workprec(precision + 10):
-            q = q_value(precision + 10)
             acc = mp.mpf(0)
             for j, c in self.coeffs:
-                acc += _to_mpf(c) * q ** j
+                acc += _to_mpf(c) * _q_power(j, precision + 10)
         return acc
 
     def enclosure(self, precision: int = DEFAULT_PRECISION):
@@ -130,6 +133,13 @@ class QPolynomial:
         return [[j, c.numerator, c.denominator] for j, c in self.coeffs]
 
 
+@functools.lru_cache(maxsize=1024)
+def _q_power(j: int, precision: int):
+    """q^j at ``precision`` bits, as ``QPolynomial.evaluate`` computed it."""
+    with mp.workprec(precision):
+        return q_value(precision) ** j
+
+
 def step_arrays(prev, nxt):
     """The step rule from symbol ``prev`` to symbol ``nxt``, as (d, s).
 
@@ -157,11 +167,13 @@ def cylinder_length(word: AdmissibleWord) -> tuple[Fraction, int]:
 
 
 def _h2(t: int) -> Fraction:
-    """Partial sum of inverse squares, H2(t) = sum_{l<=t} 1/l^2."""
-    acc = Fraction(0)
-    for l in range(1, t + 1):
-        acc += Fraction(1, l * l)
-    return acc
+    """Partial sum of inverse squares, H2(t) = sum_{l<=t} 1/l^2; memoised
+    up to _H2_CAP only, since H2(t)'s denominator has about 2.9 t bits."""
+    prefix = _H2_PREFIX
+    for l in range(len(prefix), min(t, _H2_CAP) + 1):
+        prefix.append(prefix[l - 1] + Fraction(1, l * l))
+    return sum((Fraction(1, l * l) for l in range(_H2_CAP + 1, t + 1)),
+               prefix[min(t, _H2_CAP)])
 
 
 @dataclass(frozen=True)
@@ -197,6 +209,17 @@ class CylinderGeometry:
             "precision_bits": precision,
         }
 
+    def hole(self) -> "HoleGeometry":
+        """The hole removed at the next level: for last symbol k >= 1 from
+        the midpoint (where the left block accumulates) to the left edge of
+        child 0, length |I| * (1/2 - q*(H2(k) + 1/(4k^2))); for last
+        symbol 0 and for the root the right half of the interval."""
+        r, n, k = self.length_coeff, self.depth, self.word.last
+        half = QPolynomial.monomial(n, r / 2)
+        length = half if k == 0 else QPolynomial.from_dict(
+            {n: r / 2, n + 1: -r * (Fraction(1, 4 * k * k) + _h2(k))})
+        return HoleGeometry(self.word, self.left + half, length)
+
 
 @dataclass(frozen=True)
 class HoleGeometry:
@@ -214,48 +237,32 @@ def cylinder_interval(word: AdmissibleWord) -> CylinderGeometry:
     right block hangs from the parent's right endpoint with child k flush
     right and indices decreasing leftwards down to 0.
     """
-    left = QPolynomial()
+    left: dict[int, Fraction] = {}
     r = Fraction(1)
     n = 0
     prev = 0
     for c in word.symbols:
         if c > prev:
             j = c - prev
-            left = left + QPolynomial.monomial(n + 1, r * _h2(j - 1))
+            left[n + 1] = left.get(n + 1, 0) + r * _h2(j - 1)
             r = r / (j * j)
         else:
             # right block of a parent with last symbol prev >= 1; the
             # children c..prev (lengths summed in S) sit flush right.
             p = prev
             s = Fraction(1, 4 * p * p) + _h2(p - c)
-            left = (left + QPolynomial.monomial(n, r)
-                    - QPolynomial.monomial(n + 1, r * s))
+            left[n] = left.get(n, 0) + r
+            left[n + 1] = left.get(n + 1, 0) - r * s
             d = 2 * p if c == p else p - c
             r = r / (d * d)
         n += 1
         prev = c
-    return CylinderGeometry(word=word, left=left, length_coeff=r, depth=n)
+    return CylinderGeometry(word, QPolynomial.from_dict(left), r, n)
 
 
 def hole(word: AdmissibleWord) -> HoleGeometry:
-    """The hole removed from I_word at the next level.
-
-    For last symbol k >= 1 the hole runs from the parent midpoint (where the
-    infinite left block accumulates) to the left edge of child 0; its exact
-    length is |I| * (1/2 - q*(H2(k) + 1/(4k^2))).  For last symbol 0 and for
-    the root the hole is the right half of the interval.
-    """
-    geom = cylinder_interval(word)
-    r, n = geom.length_coeff, geom.depth
-    mid = geom.left + QPolynomial.monomial(n, r / 2)
-    k = word.last
-    if k == 0:
-        return HoleGeometry(word=word, left=mid,
-                            length=QPolynomial.monomial(n, r / 2))
-    s0 = Fraction(1, 4 * k * k) + _h2(k)
-    length = (QPolynomial.monomial(n, r / 2)
-              - QPolynomial.monomial(n + 1, r * s0))
-    return HoleGeometry(word=word, left=mid, length=length)
+    """The hole of I_word at the next level: ``CylinderGeometry.hole``."""
+    return cylinder_interval(word).hole()
 
 
 def left_block_partition_bracket(word: AdmissibleWord, truncation: int,
@@ -310,6 +317,14 @@ def _locate(x_iv, cumulative, max_terms):
     raise PrecisionError("point too close to an accumulation point")
 
 
+@functools.lru_cache(maxsize=4)
+def _phi_constants(precision: int):
+    """q = 3/pi^2 and the (H2(j), q*H2(j)) that ``phi_apply`` calls share
+    for j <= _PHI_CAP, as intervals; call it at mp.iv.prec = precision."""
+    q = mp.iv.mpf(3) / mp.iv.pi ** 2
+    return q, [(mp.iv.mpf(0), q * mp.iv.mpf(0))]
+
+
 def phi_apply(x, precision: int = DEFAULT_PRECISION, max_terms: int = 10 ** 6):
     """One step of the piecewise-affine interval map on [0, 1/2).
 
@@ -326,24 +341,26 @@ def phi_apply(x, precision: int = DEFAULT_PRECISION, max_terms: int = 10 ** 6):
     old = mp.iv.prec
     try:
         mp.iv.prec = precision
+        q, memo = _phi_constants(precision)
+        h2 = list(memo)  # extended past the memo for this call only
         with mp.workprec(precision):
             x = mp.mpf(x)
             if x < 0 or x >= mp.mpf(1) / 2:
                 raise ValueError("x must lie in [0, 1/2)")
             x_iv = mp.iv.mpf(x)
-            q = mp.iv.mpf(3) / mp.iv.pi ** 2
-            h2 = [mp.iv.mpf(0)]
 
-            def h2_iv(j):
+            def h2_iv(j):  # the intervals (H2(j), q*H2(j))
                 while len(h2) <= j:
                     l = len(h2)
-                    h2.append(h2[-1] + mp.iv.mpf(1) / (l * l))
+                    h = h2[-1][0] + mp.iv.mpf(1) / (l * l)
+                    h2.append((h, q * h))
                 return h2[j]
 
             # level 1: x in I_k iff q*H2(k-1) <= x < q*H2(k)
-            k = _locate(x_iv, lambda j: q * h2_iv(j), max_terms)
-            left_k = q * h2_iv(k - 1)
+            k = _locate(x_iv, lambda j: h2_iv(j)[1], max_terms)
+            left_k = h2_iv(k - 1)[1]
             len_k = q / (k * k)
+            qlen = q * len_k
             mid_k = left_k + len_k / 2
 
             if not (x_iv.b < mid_k.a or mid_k.b <= x_iv.a):
@@ -351,28 +368,24 @@ def phi_apply(x, precision: int = DEFAULT_PRECISION, max_terms: int = 10 ** 6):
             if x_iv.b < mid_k.a:
                 # left block: child k+j where q*len_k*H2(j-1) <= x-left < ...
                 off = x_iv - left_k
-                j = _locate(off, lambda j: q * len_k * h2_iv(j), max_terms)
+                j = _locate(off, lambda j: qlen * h2_iv(j)[0], max_terms)
                 m2 = k + j
             else:
                 # right side: scan children k, k-1, ..., 0 from the right
                 t = (left_k + len_k) - x_iv  # distance from right endpoint
-                cum = q * len_k / (4 * k * k)
+                cum = qlen / (4 * k * k)  # length of child k
                 m2 = None
-                if t.b <= cum.a:
-                    m2 = k
-                elif t.a < cum.b:
-                    raise PrecisionError("containment undecided")
-                else:
-                    for l in range(1, k + 1):
-                        nxt = cum + q * len_k / (l * l)
-                        if t.b <= nxt.a:
-                            m2 = k - l
-                            break
-                        if t.a < nxt.b:
-                            raise PrecisionError("containment undecided")
-                        cum = nxt
-                if m2 is None:
-                    return None  # in the hole of I_k: escaped
+                for l in range(k + 1):
+                    if l:
+                        cum = cum + qlen / (l * l)
+                    if t.b <= cum.a:
+                        m2 = k - l
+                        break
+                    if t.a < cum.b:
+                        raise PrecisionError("containment undecided")
+            memo.extend(h2[len(memo):_PHI_CAP + 1])
+            if m2 is None:
+                return None  # in the hole of I_k: escaped
 
             # domain interval I_{k,m2} and image hull
             dom = cylinder_interval(AdmissibleWord((k, m2)))

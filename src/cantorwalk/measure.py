@@ -8,6 +8,7 @@ directly from the same structure.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +19,9 @@ from .coding import AdmissibleWord
 from .geometry import DEFAULT_PRECISION, _to_mpf, step_arrays
 
 _ZETA_CACHE: dict[tuple[str, int], mp.mpf] = {}
+_POWER_CAP = 4096
+# one table {k: k^-beta} per (beta as its mpf tuple, precision)
+_power_table = functools.lru_cache(maxsize=8)(lambda beta, precision: {})
 
 
 class ZetaDomainError(ValueError):
@@ -104,11 +108,20 @@ class MeasureParams:
         return 2 * self.alpha
 
 
+def _kernel_power(k: int, beta):
+    """``mp.mpf(k) ** -beta`` at the working precision, for an mpf beta;
+    memoised for k <= _POWER_CAP in one table per (beta, precision)."""
+    table = _power_table(beta._mpf_, mp.mp.prec) if k <= _POWER_CAP else {}
+    if k not in table:
+        table[k] = mp.mpf(k) ** (-beta)
+    return table[k]
+
+
 def _numerator(d: int, s: int, beta):
     """Kernel numerator of one step (d, s) of ``geometry.step_arrays`` as an
     mpf at the working precision: d^-beta, plus s^-beta where s > 0; 0 for
     the illegal step (d = 0)."""
-    return sum(mp.mpf(x) ** (-beta) for x in (d, s) if x)
+    return sum(_kernel_power(x, beta) for x in (d, s) if x)
 
 
 def numerator_array(d, s, beta: float) -> np.ndarray:
@@ -135,7 +148,8 @@ class CylinderMass:
 
     Each factor is the (d, s) pair of ``geometry.step_arrays`` for one step
     and evaluates to the kernel numerator d^-2a + s^-2a (no s term where
-    s = 0); the mass is (2 zeta(2a))^-n times the product of the factors.
+    s = 0), its powers read from ``_kernel_power``'s tables; the mass is
+    (2 zeta(2a))^-n times the product of the factors.
     """
 
     word: AdmissibleWord

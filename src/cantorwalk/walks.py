@@ -206,22 +206,18 @@ def _kernel_pair(beta: Fraction, precision: int):
     the jumps j in {l - m, -l - m} (one jump when l = 0).  The dissipative
     side is ``measure.transition_prob``'s (d^-beta + s^-beta) / (2 zeta)
     over the step (d, s) of ``step_arrays`` (no s term where s = 0).  Both
-    read one cache of k^-beta, which over m, l <= m_max holds about 2 m_max
-    magnitudes.
+    read k^-beta from the measure module's shared table.
     """
     with mp.workprec(precision):
         b = _to_mpf(beta)
         two_z = 2 * measure.zeta(beta, precision)
 
-    @functools.cache
-    def power(k: int):
-        return mp.mpf(k) ** (-b)
-
     def folded(m: int, l: int):
-        return sum(power(abs(j)) / two_z for j in {l - m, -l - m} if j)
+        return sum(measure._kernel_power(abs(j), b) / two_z
+                   for j in {l - m, -l - m} if j)
 
     def dissipative(m: int, l: int):
-        return sum(power(x) for x in step_arrays(m, l) if x) / two_z
+        return measure._numerator(*step_arrays(m, l), b) / two_z
 
     return folded, dissipative
 

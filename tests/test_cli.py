@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -152,6 +154,13 @@ def test_bad_word_is_a_clean_error(capsys):
     code, _, err = run(capsys, "intervals", "--word", "0,1")
     assert code == 2
     assert "error" in json.loads(err)
+    # word text that starts with a minus sign is a word, not an option
+    for argv in (("intervals", "--word", "-1,2"),
+                 ("intervals", "--word", "1,-1"),
+                 ("measure", "--word", "-2,1", "--alpha", "3/4")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith("inadmissible word: (")
 
 
 WALK = ("walk", "--kind", "dissipative", "--alpha", "3/4", "--steps", "10",
@@ -183,6 +192,9 @@ WALK = ("walk", "--kind", "dissipative", "--alpha", "3/4", "--steps", "10",
      "--rows-per-path", "0"),
     ("dim", "--alpha", "3/4", "--depth", "50", "--seed", "1", "--paths", "2",
      "--rows-per-path", "-3"),
+    # argparse read a word starting with a minus sign as an option
+    ("intervals", "--word", "-1,2"),
+    ("measure", "--word", "-2,1", "--alpha", "3/4"),
 ])
 def test_bad_inputs_are_clean_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -278,6 +290,53 @@ def test_csv_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
     code, out, _ = run(capsys, *argv, "--out", str(target))
     assert code == 0 and out == ""
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+# sha256 of stdout, recorded before the exact layers were memoised; the
+# word has left-block steps (0->3, 0->5) and right-block steps (3->2, 2->2,
+# 2->0, 5->1)
+WORD = "3,2,2,0,5,1"
+JSON_PINS = [
+    (("intervals", "--word", WORD),
+     "80d35fe7c2a45a64b33d0c419d51c6de237aa217fbd694702543ef23742aba7b"),
+    (("measure", "--word", WORD, "--alpha", "3/5"),
+     "3654d51e732b848cab430f2452647d9632804989f80f663f15545cb995df5108"),
+    (("measure", "--word", WORD, "--alpha", "3/4"),
+     "0edfb1a83ecac22d1e9b9df7046d73b74694901776d6bbb392bc14adbb4b46bb"),
+    (("measure", "--word", WORD, "--alpha", "9/10"),
+     "25ebb9bcbf95bf2a9f75a57d1010e26ec8274657f0ca567138c7c9e9cddd4e16"),
+    (("pressure", "--cutoff", "50"),
+     "76d6d5739fe22a7e7db00fe06645c7703c188d80042f37915faadf639c44d1dc"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", JSON_PINS, ids=[
+    "intervals", "measure-3/5", "measure-3/4", "measure-9/10", "pressure"])
+def test_json_output_bytes_are_pinned(capsys, argv, digest):
+    for _ in range(2):  # the second run reads the memoised values
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_intervals_prints_coefficients_past_the_digit_limit(capsys):
+    # H2(5999), a coefficient of I_{1,6000}, has more than 4300 digits
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "intervals", "--word", "1,6000")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    geom = cylinder_interval(AdmissibleWord((1, 6000)))
+    assert payload["left_poly"] == geom.left.to_json()
+    assert payload["hole"]["left_poly"] == geom.hole().left.to_json()
+    assert payload["hole"]["length_poly"] == geom.hole().length.to_json()
+    digits = max(c.bit_length() for _, *cs in geom.left.to_json()
+                 for c in cs) * math.log10(2)
+    assert digits > 4300
 
 
 def test_walk_error_leaves_no_output(tmp_path, capsys, monkeypatch):

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from cantorwalk.dimension import (
+    _BLOCK_ROWS,
     _length_matrix,
     _log_weight_matrix,
+    _transfer_matrix,
     dim_series,
     furstenberg_ratio_check,
     lebesgue_mass_decay,
     pressure_dimension,
 )
 from cantorwalk.coding import AdmissibleWord, children
-from cantorwalk.geometry import cylinder_length, q_value
+from cantorwalk.geometry import cylinder_length, q_value, step_arrays
 from cantorwalk.measure import MeasureParams, cylinder_mass
 from cantorwalk.walks import WalkParams, simulate_path
 
@@ -200,6 +202,29 @@ def test_transfer_matrices_match_loop_reference():
                     w[a, b] = q / (d[a][b] * d[a][b])
         assert np.array_equal(_log_weight_matrix(cutoff), lw)
         assert np.array_equal(_length_matrix(cutoff), w)
+
+
+def row_at_a_time(cutoff, weight, illegal):
+    l = np.arange(cutoff + 1)
+    out = np.empty((cutoff + 1, cutoff + 1))
+    with np.errstate(divide="ignore"):
+        for m in range(cutoff + 1):
+            d, _ = step_arrays(m, l)
+            out[m] = np.where(d > 0, weight(d), illegal)
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                    _BLOCK_ROWS + 1, 1000])
+def test_block_transfer_matrix_equals_row_oracle(cutoff):
+    q = float(q_value(80))
+    with mp.workprec(80):
+        log_q = float(mp.log(q_value(80)))
+    for weight, illegal in ((lambda d: log_q - 2 * np.log(d), -np.inf),
+                            (lambda d: q / (d * d), 0.0)):
+        block = _transfer_matrix(cutoff, weight, illegal)
+        assert block.tobytes() == row_at_a_time(cutoff, weight,
+                                                illegal).tobytes()
 
 
 def test_pressure_s_star_increasing_in_cutoff():

@@ -1,10 +1,12 @@
+import hashlib
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from cantorwalk.coding import AdmissibleWord, children
+from cantorwalk import geometry
+from cantorwalk.coding import AdmissibleWord, children, random_word
 from cantorwalk.geometry import (
     QPolynomial,
     cylinder_interval,
@@ -206,3 +208,110 @@ def test_interval_decimal_matches_length_poly():
     r, n = cylinder_length(W("2,5,5,0"))
     assert direct == pytest.approx(
         float(r) * float(q_value(80)) ** n, rel=1e-12)
+
+
+def summed_h2(t):
+    return sum((Fraction(1, l * l) for l in range(1, t + 1)), Fraction(0))
+
+
+def rebuilt_interval(word):
+    """Reference construction: a new QPolynomial at every step, and H2
+    summed from 1 at every use.  Returns (left, length_coeff, depth)."""
+    left, r, n, prev = QPolynomial(), Fraction(1), 0, 0
+    for c in word.symbols:
+        if c > prev:
+            j = c - prev
+            left = left + QPolynomial.monomial(n + 1, r * summed_h2(j - 1))
+            r = r / (j * j)
+        else:
+            p = prev
+            s = Fraction(1, 4 * p * p) + summed_h2(p - c)
+            left = (left + QPolynomial.monomial(n, r)
+                    - QPolynomial.monomial(n + 1, r * s))
+            d = 2 * p if c == p else p - c
+            r = r / (d * d)
+        n += 1
+        prev = c
+    return left, r, n
+
+
+def oracle_words():
+    rng = np.random.default_rng(2024)
+    words = [random_word(rng, int(rng.integers(1, 31))) for _ in range(300)]
+    # symbols up to 2000, past the exact H2 memo's cap of 1024
+    words += [random_word(rng, int(rng.integers(1, 5)), max_jump=500)
+              for _ in range(12)]
+    words += [W(t) for t in ("", "2000", "1,2000", "2000,1", "1,1025,1025",
+                             "1500,1500,0,1024", "7,2000,1999,0,1")]
+    return words
+
+
+def test_cylinder_interval_matches_rebuild_oracle():
+    words = oracle_words()
+    assert max(max(w.symbols, default=0) for w in words) == 2000
+    for w in words:
+        g = cylinder_interval(w)
+        assert (g.left, g.length_coeff, g.depth) == rebuilt_interval(w)
+
+
+def test_hole_method_matches_wrapper_and_oracle():
+    for w in oracle_words()[::3]:
+        h = cylinder_interval(w).hole()
+        assert h == hole(w)
+        left, r, n = rebuilt_interval(w)
+        half = QPolynomial.monomial(n, r / 2)
+        k = w.last
+        length = half if k == 0 else half - QPolynomial.monomial(
+            n + 1, r * (Fraction(1, 4 * k * k) + summed_h2(k)))
+        assert (h.word, h.left, h.length) == (w, left + half, length)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_memoised_q_powers_equal_direct_expression(bits):
+    for _ in range(2):  # filling the memo, then reading it
+        for j in range(40):
+            with mp.workprec(bits):
+                direct = q_value(bits) ** j
+            assert geometry._q_power(j, bits)._mpf_ == direct._mpf_
+    for w in oracle_words()[:60]:
+        poly = cylinder_interval(w).left
+        with mp.workprec(bits + 10):
+            q = q_value(bits + 10)
+            acc = mp.mpf(0)
+            for j, c in poly.coeffs:
+                acc += mp.mpf(c.numerator) / c.denominator * q ** j
+        assert poly.evaluate(bits)._mpf_ == acc._mpf_
+
+
+def test_phi_apply_images_are_pinned():
+    # sha256 of the images, recorded before phi_apply kept its constants;
+    # the last two points lie in I_k with k > 4096 and in I_{1,1+j} with
+    # j > 4096, past the boundaries shared between calls
+    rng = np.random.default_rng(405)
+    xs = (rng.random(100) / 2).tolist() + [0.5 - 5e-5, 0.15196]
+    for bits, digits, n, digest in (
+            (256, 60, len(xs), "2b35baa14b8bd5eab736163fd1f0c06d"
+                               "2cc3a72b21de704b0e39ff9e48a8c613"),
+            (64, 18, 60, "149de3f0b83abd6b46fc57a9004c248d"
+                         "cce8a5781ac1ab1485273939d0f6ed79")):
+        for _ in range(2):  # filling the shared boundaries, then reading
+            h = hashlib.sha256()
+            for x in xs[:n]:
+                y = phi_apply(x, bits)
+                h.update(("escaped" if y is None else mp.nstr(y, digits))
+                         .encode() + b"\n")
+            assert h.hexdigest() == digest
+
+
+def test_geometry_memos_stay_within_their_caps():
+    g = cylinder_interval(W("1,10000"))
+    assert g.left == rebuilt_interval(W("1,10000"))[0]
+    rng = np.random.default_rng(500)
+    for x in (rng.random(500) / 2).tolist() + [0.5 - 5e-5]:
+        phi_apply(x)
+    assert len(geometry._H2_PREFIX) == geometry._H2_CAP + 1
+    for memo in (geometry._q_power, geometry._phi_constants):
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize
+    _, boundaries = geometry._phi_constants(geometry.DEFAULT_PRECISION)
+    assert len(boundaries) == geometry._PHI_CAP + 1

@@ -4,8 +4,12 @@ import mpmath as mp
 import pytest
 
 from cantorwalk.coding import AdmissibleWord, children
+from cantorwalk.geometry import _to_mpf
 from cantorwalk.measure import (
+    _POWER_CAP,
     MeasureParams,
+    _kernel_power,
+    _power_table,
     ZetaDomainError,
     consistency_defect,
     cylinder_mass,
@@ -224,3 +228,27 @@ def test_mass_varies_continuously_in_alpha():
         for num in (70, 71, 72)]
     assert abs(vals[1] - vals[0]) < 0.01
     assert abs(vals[2] - vals[1]) < 0.01
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_memoised_kernel_powers_equal_direct_expression(bits):
+    ks = list(range(1, 60)) + [_POWER_CAP - 1, _POWER_CAP, _POWER_CAP + 1,
+                               10 ** 6, 10 ** 30]
+    with mp.workprec(bits):
+        for beta in (Fraction(51, 50), Fraction(6, 5), Fraction(3, 2),
+                     Fraction(9, 5), Fraction(2)):
+            b = _to_mpf(beta)
+            direct = [(mp.mpf(k) ** -b)._mpf_ for k in ks]
+            for _ in range(2):  # filling the table, then reading it
+                assert [_kernel_power(k, b)._mpf_ for k in ks] == direct
+
+
+def test_kernel_power_tables_stay_within_their_caps():
+    with mp.workprec(64):
+        for i in range(10):  # more exponents than tables
+            b = 1 + mp.mpf(i + 1) / 11
+            for k in range(1, (2 * _POWER_CAP if i == 0 else 20) + 1):
+                _kernel_power(k, b)
+            assert len(_power_table(b._mpf_, 64)) <= _POWER_CAP
+    info = _power_table.cache_info()
+    assert info.currsize <= info.maxsize == 8
