@@ -20,7 +20,6 @@ from .geometry import q_value, step_arrays
 from .walks import WalkPath
 
 _UNIT_ROUNDOFF = 2.0 ** -53
-_BLOCK_ROWS = 16  # transfer-matrix rows built at a time
 
 
 def _log_q(precision: int = 80) -> float:
@@ -111,30 +110,61 @@ class PressureEstimate:
     lambda_trace: list[tuple[float, float, float]]
 
 
-def _transfer_matrix(state_cutoff: int, weight, illegal: float) -> np.ndarray:
-    """Matrix of weight(d(m, l)) over m, l <= state_cutoff, ``illegal``
-    where d = 0; built _BLOCK_ROWS rows at a time, so peak memory stays at
-    one matrix plus O(_BLOCK_ROWS * state_cutoff) of temporaries."""
-    l = np.arange(state_cutoff + 1)
-    out = np.empty((state_cutoff + 1, state_cutoff + 1))
+def _step_weights(state_cutoff: int, weight,
+                  illegal: float) -> tuple[np.ndarray, np.ndarray]:
+    """weight(d) on the Toeplitz column d(0, k) = k and on the diagonal
+    d(k, k) = 2k, k <= state_cutoff, with ``illegal`` where d = 0 (the step
+    0 -> 0); the denominators come from ``step_arrays``."""
+    k = np.arange(state_cutoff + 1)
     with np.errstate(divide="ignore"):
-        for m in range(0, state_cutoff + 1, _BLOCK_ROWS):
-            d, _ = step_arrays(l[m:m + _BLOCK_ROWS, None], l)
-            out[m:m + _BLOCK_ROWS] = np.where(d > 0, weight(d), illegal)
-    return out
+        return tuple(np.where(d > 0, weight(d), illegal)
+                     for d in (step_arrays(0, k)[0], step_arrays(k, k)[0]))
 
 
-def _log_weight_matrix(state_cutoff: int) -> np.ndarray:
-    """Matrix of log(q/d^2) over legal transitions, -inf where illegal."""
-    log_q = _log_q()
-    return _transfer_matrix(state_cutoff, lambda d: log_q - 2 * np.log(d),
-                            -np.inf)
+class _TransferOperator:
+    """T[m, l] = w(d(m, l)) over symbols m, l <= K, with no matrix: d is
+    |m - l| off the diagonal and 2m on it, so T is the symmetric Toeplitz
+    matrix c_|m-l| (c_k = w(k), c_0 = 0) plus the diagonal w(2m), 0 at
+    m = 0.  ``T @ v`` is one real-FFT circular convolution of length
+    n = 2^t >= 2K + 1 plus the diagonal product: O(K log K) time and O(K)
+    memory.
 
+    ``error(v)`` bounds each component's float error in the convolution.
+    Assume np.fft.rfft and irfft are as accurate as the radix-2 FFT of
+    Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm
+    24.2, with twiddle factors accurate to mu = 8u: with
+    eta = mu + gamma_4 (sqrt 2 + mu), a transform of x is off by at most
+    eps = t eta / (1 - t eta) times ||F x||_2 in 2-norm and times ||x||_1
+    in each component (the same proof with absolute values).  c >= 0 is
+    even, so its spectrum is real and at most ||c||_1, and
+    ||F v||_2 = sqrt(n) ||v||_2.  The errors of F c, of F v and of the
+    inverse transform then add at most eps ||c||_1 ||v||_2 each to every
+    component, and the spectrum product u ||c||_1 ||v||_2: the bound is
+    e = (3 eps + 2u) ||c||_1 ||v||_2, the second u covering second-order
+    terms and the rounding of e itself (for K below 10^9).
+    """
 
-def _length_matrix(state_cutoff: int) -> np.ndarray:
-    """Matrix of q/d^2 over legal transitions, 0 where illegal."""
-    q = float(q_value(80))
-    return _transfer_matrix(state_cutoff, lambda d: q / (d * d), 0.0)
+    def __init__(self, column: np.ndarray, diagonal: np.ndarray):
+        size = column.size
+        self.n = 1 << (2 * size - 2).bit_length()
+        padded = np.zeros(self.n)
+        padded[:size] = column
+        padded[self.n - size + 1:] = column[:0:-1]
+        self.spectrum = np.fft.rfft(padded).real  # exactly real: c is even
+        self.diagonal = diagonal
+        u, mu = _UNIT_ROUNDOFF, 8 * _UNIT_ROUNDOFF
+        t_eta = ((self.n.bit_length() - 1)
+                 * (mu + 4 * u / (1 - 4 * u) * (math.sqrt(2) + mu)))
+        self.error_scale = ((3 * t_eta / (1 - t_eta) + 2 * u)
+                            * math.fsum(padded))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        conv = np.fft.irfft(self.spectrum * np.fft.rfft(v, self.n), self.n)
+        return conv[:v.size] + self.diagonal * v
+
+    def error(self, v: np.ndarray) -> float:
+        """Bound on each component's error in the convolution of v."""
+        return self.error_scale * math.sqrt(v @ v)
 
 
 def pressure_dimension(state_cutoff: int,
@@ -154,25 +184,26 @@ def pressure_dimension(state_cutoff: int,
     kept, and iteration stops as soon as the bracket lies wholly below 1 or
     wholly at or above 1.  The final v starts the next evaluation.
 
-    Certification.  Let u = 2^-53, K = state_cutoff and Lambda the largest
-    |log(q / d^2)| over legal steps.  Assuming np.log and np.exp are
-    accurate to 4 ulp (8u relative), the computed ratios carry three
-    errors:
+    Certification.  Let u = 2^-53 and Lambda the largest |log(q / d^2)|
+    over legal steps.  T_s is applied as a structured operator (see
+    ``_TransferOperator``), never as a matrix.  Assuming np.log and np.exp
+    are accurate to 4 ulp (8u relative), and the FFT as stated there, the
+    computed ratios carry these errors:
 
     * the log weight lw = fl(log q) - 2 log d is off by at most
       u|log q| + 16u log d + u|lw| <= 9u|lw|, and s * lw adds u s|lw|, so
       the exponent is off by at most 10u s Lambda, a relative error of
       the same size in exp(s * lw);
     * np.exp adds 8u;
-    * each w_i is a (K + 1)-term sum of non-negative products, accurate to
-      (K + 1)u / (1 - (K + 1)u) in any summation order, and the division
-      by v_i adds u.
+    * the convolution part of each w_i is off by at most e (eps is about
+      1.7e-14 at K = 1000), so w_i - e and w_i + e are divided by v_i;
+    * the diagonal product, the sum, the -e or +e and the division by v_i
+      add u each.
 
-    With N = K + 1 + 10 s Lambda + 12 (the extra 3u cover the widening
-    products and every second-order term) the bracket is widened by the
-    relative slack N u / (1 - N u), about 1e-13 for K = 1001.  Every
-    "rho < 1" and "rho >= 1" is then a proof, so [lo, hi] is a rigorous
-    bracket on s* of the truncated system.
+    With N = 10 s Lambda + 15 (the extra 3u cover the widening products
+    and every second-order term) the bracket is widened by the relative
+    slack N u / (1 - N u).  Every "rho < 1" and "rho >= 1" is then a
+    proof, so [lo, hi] is a rigorous bracket on s* of the truncated system.
 
     Stall rule.  When an iteration improves neither bound, lambda(s) cannot
     be separated from 1 in float arithmetic, and the bisection ends with
@@ -182,9 +213,10 @@ def pressure_dimension(state_cutoff: int,
         raise ValueError("state_cutoff must be >= 1")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
-    lw = _log_weight_matrix(state_cutoff)
-    log_span = -float(np.min(lw, initial=0.0, where=lw > -np.inf))
-    t = np.empty_like(lw)
+    log_q = _log_q()
+    lw_column, lw_diagonal = _step_weights(
+        state_cutoff, lambda d: log_q - 2 * np.log(d), -np.inf)
+    log_span = -float(min(lw_column[1:].min(), lw_diagonal[1:].min()))
     v = np.ones(state_cutoff + 1)
     trace: list[tuple[float, float, float]] = []
 
@@ -192,16 +224,15 @@ def pressure_dimension(state_cutoff: int,
         """True if rho(T_s) < 1, False if rho(T_s) >= 1, None if the
         bracket stalls around 1."""
         nonlocal v
-        np.multiply(lw, s, out=t)
-        np.exp(t, out=t)
-        n = state_cutoff + 1 + 10 * s * log_span + 12
+        t = _TransferOperator(np.exp(lw_column * s), np.exp(lw_diagonal * s))
+        n = 10 * s * log_span + 15
         slack = n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
         lo, hi = 0.0, math.inf
         while hi >= 1.0 > lo:
             w = t @ v
-            ratio = w / v
-            new_lo = float(ratio.min()) * (1 - slack)
-            new_hi = float(ratio.max()) * (1 + slack)
+            e = t.error(v)
+            new_lo = float(((w - e) / v).min()) * (1 - slack)
+            new_hi = float(((w + e) / v).max()) * (1 + slack)
             if new_lo <= lo and new_hi >= hi:
                 break
             lo, hi = max(lo, new_lo), min(hi, new_hi)
@@ -214,7 +245,7 @@ def pressure_dimension(state_cutoff: int,
     hi = 1.0
     if below_one(hi) is not True:
         raise ArithmeticError(
-            "lambda(1) not certified below 1: transfer matrix malformed")
+            "lambda(1) not certified below 1: transfer operator malformed")
     lo = 0.5
     while below_one(lo) is not False:  # None is not yet a certified >= 1
         lo /= 2
@@ -256,6 +287,10 @@ def lebesgue_mass_decay(depth: int, state_cutoff: int) -> LebesgueDecay:
     <= zeta(2) for t = 0), and a dropped cylinder's whole subtree carries
     at most the cylinder's own length per level, so the cumulative drop
     bounds the per-level overcount.
+
+    The step v <- v T is ``_TransferOperator`` with the weights q/d^2, as
+    in ``pressure_dimension``; its FFT rounding, about 4e-14 relative at
+    depth 200 and K = 2000, is far inside the truncation bound.
     """
     if depth < 1 or state_cutoff < 2:
         raise ValueError("need depth >= 1 and state_cutoff >= 2")
@@ -263,17 +298,18 @@ def lebesgue_mass_decay(depth: int, state_cutoff: int) -> LebesgueDecay:
     q = float(q_value(80))
     with mp.workprec(80):
         zeta2 = float(mp.pi ** 2 / 6)
-    w = _length_matrix(kmax)
+    column, diagonal = _step_weights(kmax, lambda d: q / (d * d), 0.0)
+    t = _TransferOperator(column, diagonal)
     # tail bound for dropped left-block children of state k
     tail = np.array([zeta2 if kmax - k == 0 else 1.0 / (kmax - k)
                      for k in range(kmax + 1)])
-    v = w[0].copy()  # level 1: the root steps like state 0
+    v = column  # level 1: the root steps like state 0
     dropped = q * 1.0 / kmax  # root children with symbol > cutoff
     levels = [float(v.sum())]
     bounds = [dropped]
     for _ in range(1, depth):
         dropped += float(np.sum(q * v * tail))
-        v = v @ w
+        v = t @ v  # T is symmetric, so this is v T
         levels.append(float(v.sum()))
         bounds.append(dropped)
     return LebesgueDecay(depth=depth, state_cutoff=state_cutoff,

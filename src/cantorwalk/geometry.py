@@ -50,10 +50,6 @@ def decimal_str(x, precision: int) -> str:
     return mp.nstr(x, min(25, mp.libmp.prec_to_dps(precision)))
 
 
-def _frac_iv(x: Fraction):
-    return mp.iv.mpf(x.numerator) / mp.iv.mpf(x.denominator)
-
-
 @dataclass(frozen=True)
 class QPolynomial:
     """Finite rational-coefficient polynomial in q, sum of c_j * q^j."""
@@ -94,40 +90,6 @@ class QPolynomial:
             for j, c in self.coeffs:
                 acc += _to_mpf(c) * _q_power(j, precision + 10)
         return acc
-
-    def enclosure(self, precision: int = DEFAULT_PRECISION):
-        """Rigorous interval enclosure of the value at q."""
-        old = mp.iv.prec
-        try:
-            mp.iv.prec = precision
-            q = mp.iv.mpf(3) / mp.iv.pi ** 2
-            acc = mp.iv.mpf(0)
-            for j, c in self.coeffs:
-                acc += _frac_iv(c) * q ** j
-            return acc
-        finally:
-            mp.iv.prec = old
-
-    def compare(self, other: "QPolynomial", precision: int = DEFAULT_PRECISION,
-                max_precision: int = 1 << 14) -> int:
-        """Rigorous sign of self - other, escalating precision if needed.
-
-        Returns -1, 0 or +1.  Equality is decided exactly from the rational
-        coefficients (q is transcendental-grade irrational for our degrees;
-        identical polynomials are the only equality that can occur).
-        """
-        diff = self - other
-        if not diff.coeffs:
-            return 0
-        p = precision
-        while p <= max_precision:
-            enc = diff.enclosure(p)
-            if enc.a > 0:
-                return 1
-            if enc.b < 0:
-                return -1
-            p *= 2
-        raise PrecisionError("sign of q-polynomial undecided at max precision")
 
     def to_json(self) -> list[list[int]]:
         return [[j, c.numerator, c.denominator] for j, c in self.coeffs]

@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 
 from cantorwalk.dimension import (
-    _BLOCK_ROWS,
-    _length_matrix,
-    _log_weight_matrix,
-    _transfer_matrix,
+    _TransferOperator,
+    _step_weights,
     dim_series,
     furstenberg_ratio_check,
     lebesgue_mass_decay,
     pressure_dimension,
 )
 from cantorwalk.coding import AdmissibleWord, children
-from cantorwalk.geometry import cylinder_length, q_value, step_arrays
+from cantorwalk.geometry import cylinder_length, q_value
 from cantorwalk.measure import MeasureParams, cylinder_mass
 from cantorwalk.walks import WalkParams, simulate_path
 
@@ -163,6 +161,23 @@ PINNED_S_STAR = {
     200: 0.995140552520752,
     500: 0.9980788230895996,
     1000: 0.9990439414978027,
+    2000: 0.9995236396789551,
+}
+
+# the certified brackets s_bracket at the default tolerance, recorded with
+# the dense transfer matrix; the bisection evaluates the same s in the same
+# order whenever every decision lands on the same side of 1
+PINNED_S_BRACKET = {
+    1: (0.2797110080718994, 0.2797117233276367),
+    2: (0.5544290542602539, 0.5544300079345703),
+    5: (0.7978944778442383, 0.7978954315185547),
+    10: (0.8963766098022461, 0.8963775634765625),
+    50: (0.9799299240112305, 0.9799308776855469),
+    100: (0.9901456832885742, 0.9901466369628906),
+    200: (0.9951400756835938, 0.9951410293579102),
+    500: (0.9980783462524414, 0.9980792999267578),
+    1000: (0.9990434646606445, 0.9990444183349609),
+    2000: (0.9995231628417969, 0.9995241165161133),
 }
 
 
@@ -176,6 +191,11 @@ def test_pressure_s_star_is_pinned(cutoff):
     assert _estimate(cutoff).s_star == PINNED_S_STAR[cutoff]
 
 
+@pytest.mark.parametrize("cutoff", sorted(PINNED_S_BRACKET))
+def test_pressure_s_bracket_is_pinned(cutoff):
+    assert _estimate(cutoff).s_bracket == PINNED_S_BRACKET[cutoff]
+
+
 @pytest.mark.parametrize("cutoff", sorted(PINNED_S_STAR))
 def test_pinned_s_star_lies_in_its_certified_bracket(cutoff):
     est = _estimate(cutoff)
@@ -187,44 +207,80 @@ def test_pinned_s_star_lies_in_its_certified_bracket(cutoff):
     assert bracket[lo][0] >= 1.0 > bracket[hi][1]
 
 
-def test_transfer_matrices_match_loop_reference():
+def operator_weights(name):
+    """The weight w(d) of a transfer operator, as pressure_dimension (log
+    weights at s) and lebesgue_mass_decay (lengths q/d^2) compute it."""
     q = float(q_value(80))
     with mp.workprec(80):
         log_q = float(mp.log(q_value(80)))
-    for cutoff in (1, 2, 5, 17, 50):
-        d = loop_denominators(cutoff)
-        lw = np.full((cutoff + 1, cutoff + 1), -np.inf)
-        w = np.zeros((cutoff + 1, cutoff + 1))
-        for a in range(cutoff + 1):
-            for b in range(cutoff + 1):
-                if d[a][b] is not None:
-                    lw[a, b] = log_q - 2 * np.log(d[a][b])
-                    w[a, b] = q / (d[a][b] * d[a][b])
-        assert np.array_equal(_log_weight_matrix(cutoff), lw)
-        assert np.array_equal(_length_matrix(cutoff), w)
+    if name == "lengths":
+        return lambda d: q / (d * d)
+    s = float(name)
+    return lambda d: np.exp((log_q - 2 * np.log(d)) * s)
 
 
-def row_at_a_time(cutoff, weight, illegal):
-    l = np.arange(cutoff + 1)
-    out = np.empty((cutoff + 1, cutoff + 1))
+def dense_weights(cutoff, weight):
+    """weight(d[a][b]) over loop_denominators, 0 where the step is illegal;
+    the weights are evaluated on d = 0 .. 2 * cutoff at once."""
     with np.errstate(divide="ignore"):
-        for m in range(cutoff + 1):
-            d, _ = step_arrays(m, l)
-            out[m] = np.where(d > 0, weight(d), illegal)
-    return out
+        table = weight(np.arange(2 * cutoff + 1))
+    table[0] = 0.0
+    d = loop_denominators(cutoff)
+    return table[[[0 if x is None else x for x in row] for row in d]]
 
 
-@pytest.mark.parametrize("cutoff", [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS,
-                                    _BLOCK_ROWS + 1, 1000])
-def test_block_transfer_matrix_equals_row_oracle(cutoff):
-    q = float(q_value(80))
-    with mp.workprec(80):
-        log_q = float(mp.log(q_value(80)))
-    for weight, illegal in ((lambda d: log_q - 2 * np.log(d), -np.inf),
-                            (lambda d: q / (d * d), 0.0)):
-        block = _transfer_matrix(cutoff, weight, illegal)
-        assert block.tobytes() == row_at_a_time(cutoff, weight,
-                                                illegal).tobytes()
+EXTENDED = np.finfo(np.longdouble).nmant >= 63
+
+
+def dense_product(matrix, v):
+    """matrix @ v in 64-bit-mantissa long double, or with mpmath where long
+    double is plain double; returns the product and a bound on its own
+    componentwise error."""
+    if EXTENDED:
+        ref = matrix.astype(np.longdouble) @ v.astype(np.longdouble)
+        eps = float(np.finfo(np.longdouble).eps)
+    else:
+        with mp.workprec(113):
+            ref = np.array([mp.fdot(row, v) for row in matrix.tolist()])
+        eps = 2.0 ** -112
+    return ref, (v.size + 1) * eps * ref
+
+
+WEIGHTS = ["0.3", "0.999", "1", "lengths"]
+
+
+@pytest.mark.parametrize("name", WEIGHTS)
+@pytest.mark.parametrize("cutoff", [1, 2, 5, 17, 50])
+def test_step_weights_follow_the_loop_reference(cutoff, name):
+    # the operator's Toeplitz column and diagonal are row 0 and the
+    # diagonal of the dense matrix built case by case, and the dense matrix
+    # is that Toeplitz matrix plus that diagonal
+    weight = operator_weights(name)
+    dense = dense_weights(cutoff, weight)
+    column, diagonal = _step_weights(cutoff, weight, 0.0)
+    assert column.tobytes() == dense[0].tobytes()
+    assert diagonal.tobytes() == np.diagonal(dense).tobytes()
+    m, l = np.indices(dense.shape)
+    assert np.array_equal(np.where(m == l, 0.0, dense),
+                          np.where(m == l, 0.0, column[abs(m - l)]))
+
+
+@pytest.mark.parametrize("name", WEIGHTS)
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 5, 17, 50, 1000])
+def test_structured_matvec_within_derived_bound(cutoff, name):
+    # each component of T @ v is within the derived FFT bound e of the
+    # dense product, plus 2u of it for the diagonal product and the sum;
+    # v is positive, once uniform and once spanning 1e-12 ... 1
+    weight = operator_weights(name)
+    t = _TransferOperator(*_step_weights(cutoff, weight, 0.0))
+    dense = dense_weights(cutoff, weight)
+    rng = np.random.default_rng(cutoff)
+    for v in (rng.uniform(0.0, 1.0, cutoff + 1) + 2.0 ** -60,
+              10.0 ** rng.uniform(-12.0, 0.0, cutoff + 1)):
+        ref, ref_error = dense_product(dense, v)
+        err = np.abs((t @ v).astype(ref.dtype) - ref)
+        bound = t.error(v) + 2 * 2.0 ** -53 * ref + ref_error
+        assert np.all(err <= bound)
 
 
 def test_pressure_s_star_increasing_in_cutoff():
@@ -256,6 +312,24 @@ def test_lebesgue_levels_match_brute_force():
     decay = lebesgue_mass_decay(depth, cutoff)
     for a, b in zip(decay.level_mass, totals):
         assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_lebesgue_levels_match_mpmath_dense_recursion():
+    # the FFT recursion against v <- v T with T[a][b] = q / d[a][b]^2 from
+    # loop_denominators, dense and at 200 bits
+    depth, cutoff = 30, 60
+    d = loop_denominators(cutoff)
+    levels = lebesgue_mass_decay(depth, cutoff).level_mass
+    with mp.workprec(200):
+        q = q_value(200)
+        t = [[0 if x is None else q / x ** 2 for x in row] for row in d]
+        v = t[0]
+        for n in range(depth):
+            if n:
+                v = [mp.fsum(v[a] * t[a][b] for a in range(cutoff + 1))
+                     for b in range(cutoff + 1)]
+            exact = mp.fsum(v)
+            assert abs(levels[n] - exact) <= 1e-13 * exact
 
 
 def test_lebesgue_mass_strictly_decreasing():

@@ -8,6 +8,7 @@ import pytest
 from cantorwalk import geometry
 from cantorwalk.coding import AdmissibleWord, children, random_word
 from cantorwalk.geometry import (
+    PrecisionError,
     QPolynomial,
     cylinder_interval,
     cylinder_length,
@@ -25,6 +26,37 @@ Q_REF = 0.3039635509270133
 
 def W(text):
     return AdmissibleWord.parse(text) if text else AdmissibleWord()
+
+
+def enclosure(poly, precision=256):
+    """Rigorous interval enclosure of a QPolynomial's value at q."""
+    old = mp.iv.prec
+    try:
+        mp.iv.prec = precision
+        q = mp.iv.mpf(3) / mp.iv.pi ** 2
+        acc = mp.iv.mpf(0)
+        for j, c in poly.coeffs:
+            acc += mp.iv.mpf(c.numerator) / mp.iv.mpf(c.denominator) * q ** j
+        return acc
+    finally:
+        mp.iv.prec = old
+
+
+def compare(a, b, precision=256, max_precision=1 << 14):
+    """Rigorous sign of a - b, -1, 0 or +1, doubling the interval precision
+    until the enclosure of a - b excludes 0; identical polynomials are the
+    only equality that can occur."""
+    diff = a - b
+    if not diff.coeffs:
+        return 0
+    while precision <= max_precision:
+        enc = enclosure(diff, precision)
+        if enc.a > 0:
+            return 1
+        if enc.b < 0:
+            return -1
+        precision *= 2
+    raise PrecisionError("sign of q-polynomial undecided at max precision")
 
 
 def test_q_value():
@@ -100,10 +132,10 @@ def test_children_tile_without_overlap():
         parent = cylinder_interval(W(text))
         kids = [cylinder_interval(c) for c in children(W(text), 6)]
         for a, b in zip(kids, kids[1:]):
-            assert a.right.compare(b.left) <= 0
+            assert compare(a.right, b.left) <= 0
         for k in kids:
-            assert parent.left.compare(k.left) <= 0
-            assert k.right.compare(parent.right) <= 0
+            assert compare(parent.left, k.left) <= 0
+            assert compare(k.right, parent.right) <= 0
 
 
 def test_level_length_bounded_by_parent():
@@ -156,11 +188,11 @@ def test_qpolynomial_arithmetic_and_compare():
     assert s.as_dict() == {0: Fraction(1, 2), 1: Fraction(1, 2),
                            2: Fraction(-5, 4)}
     assert (s - b).as_dict() == a.as_dict()
-    assert a.compare(a) == 0
+    assert compare(a, a) == 0
     # 1/2 - 5/4 q^2 vs q/2: difference is ~0.23, positive
-    assert a.compare(b) == 1
-    assert b.compare(a) == -1
-    enc = a.enclosure(64)
+    assert compare(a, b) == 1
+    assert compare(b, a) == -1
+    enc = enclosure(a, 64)
     assert enc.a <= a.evaluate(64) <= enc.b
 
 
