@@ -6,6 +6,7 @@ the total length of the construction tree decays to 0.  Together these are
 the numerical shadow of full Hausdorff dimension with zero Lebesgue
 measure.  Run as: python3 demos/demo_dimension.py
 """
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -37,17 +38,29 @@ for n in (10, 100, 1000, 10000, 20000):
     print(f"  depth {n:6d}: ratio = {series.ratio[n - 1]:.4f}")
 print()
 
-print("pressure root s*(K) of the truncated transfer operator,")
-print("with its certified bracket [lo, hi] and the gap K * (1 - s*):")
+
+def outward(lo, hi, digits):
+    """[lo, hi] widened to the given number of decimals."""
+    scale = 10 ** digits
+    return (f"[{math.floor(lo * scale) / scale:.{digits}f}, "
+            f"{math.ceil(hi * scale) / scale:.{digits}f}]")
+
+
+print("pressure root s*(K) of the truncated transfer operator: its certified")
+print("bracket [lo, hi] and the bracket [K(1 - hi), K(1 - lo)] of the gap")
+print("K(1 - s*), both rounded outward:")
+gaps = {}
 for cutoff in (1, 5, 20, 100, 500, 1000, 2000, 4000, 8000):
-    est = pressure_dimension(cutoff)
-    lo, hi = est.s_bracket
-    print(f"  K = {cutoff:4d}: s* = {est.s_star:.6f}"
-          f"   [{lo:.7f}, {hi:.7f}]   K(1 - s*) = "
-          f"{cutoff * (1 - est.s_star):.4f}")
+    lo, hi = pressure_dimension(cutoff).s_bracket
+    gaps[cutoff] = (cutoff * (1 - hi), cutoff * (1 - lo))
+    print(f"  K = {cutoff:4d}: s* in {outward(lo, hi, 7)}"
+          f"   K(1 - s*) in {outward(*gaps[cutoff], 4)}")
+far = [g for k, g in gaps.items() if k >= 500]
 print("  (monotone in K, approaching dimension 1 from below; each lo is a")
-print("  rigorous lower bound, and K(1 - s*) levels off near 0.95, so the")
-print("  gap closes like c/K)")
+print("  rigorous lower bound.  From K = 500 on, every bracket of K(1 - s*)")
+print(f"  lies in {outward(min(g[0] for g in far), max(g[1] for g in far), 4)},"
+      " which is consistent with a gap that")
+print("  closes like c/K)")
 print()
 
 print("total length of the level-n truncated tree (cutoff 500):")

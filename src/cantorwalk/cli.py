@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, ArithmeticError) as exc:
+    except (CliError, ValueError, ArithmeticError, MemoryError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2

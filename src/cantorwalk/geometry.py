@@ -134,8 +134,18 @@ def _h2(t: int) -> Fraction:
     prefix = _H2_PREFIX
     for l in range(len(prefix), min(t, _H2_CAP) + 1):
         prefix.append(prefix[l - 1] + Fraction(1, l * l))
-    return sum((Fraction(1, l * l) for l in range(_H2_CAP + 1, t + 1)),
-               prefix[min(t, _H2_CAP)])
+    if t <= _H2_CAP:
+        return prefix[t]
+    return prefix[_H2_CAP] + _inverse_square_sum(_H2_CAP + 1, t + 1)
+
+
+def _inverse_square_sum(a: int, b: int) -> Fraction:
+    """sum_{a <= l < b} 1/l^2 exactly, by binary splitting: the halves'
+    sums have denominators of similar size, so no addition is lopsided."""
+    if b - a == 1:
+        return Fraction(1, a * a)
+    mid = (a + b) // 2
+    return _inverse_square_sum(a, mid) + _inverse_square_sum(mid, b)
 
 
 @dataclass(frozen=True)

@@ -121,8 +121,9 @@ def _empirical_kernel_cells(m: int, alpha: Fraction, n_samples: int,
                             rng: np.random.Generator):
     """One-step empirical frequencies from state m vs the analytic kernel."""
     sampler = walks.ZetaJumpSampler.cached(2 * alpha)
-    jumps = sampler.sample_signed(rng, n_samples)
-    nxt = np.abs(m + jumps)
+    nxt = sampler.sample_signed(rng, n_samples)
+    nxt += m
+    np.abs(nxt, out=nxt)  # |m + L|, formed in place
     params = MeasureParams(alpha=alpha, precision=64)
     cells = sorted({0, 1, 2, 3, 4, 5} | {max(m - 1, 0), m, m + 1})
     out = []
@@ -163,8 +164,9 @@ def criterion_path_law(n_paths: int = 10 ** 6) -> CriterionResult:
     params = MeasureParams(alpha=alpha, precision=64)
     rng = np.random.default_rng(SEED_PATHLAW)
     sampler = walks.ZetaJumpSampler.cached(2 * alpha)
-    jumps = sampler.sample_signed(rng, n_paths * depth).reshape(n_paths, depth)
-    states = np.abs(np.cumsum(jumps, axis=1))
+    states = sampler.sample_signed(rng, n_paths * depth).reshape(n_paths, depth)
+    np.cumsum(states, axis=1, out=states)  # the jumps become the states
+    np.abs(states, out=states)
     # every word in [0, cap)^depth; small symbols are enough at mass >= 1e-3
     cap = 30
     shape = (cap,) * depth
@@ -175,11 +177,14 @@ def criterion_path_law(n_paths: int = 10 ** 6) -> CriterionResult:
     # exact mass decides, so float rounding cannot move a cell across the floor
     approx = np.prod(measure.numerator_array(d, s, float(params.beta)),
                      axis=1) / (2 * zeta_b) ** depth
-    # mask on the float states: one past 2^63 would cast to a negative int64
-    inside = np.all(states < cap, axis=1)
-    counts = np.bincount(
-        np.ravel_multi_index(states[inside].astype(np.int64).T, shape),
-        minlength=grid.shape[0])
+    # mask on the float states: one past 2^63 would cast to a negative int64;
+    # counted in row blocks, to bound the temporaries
+    counts = np.zeros(grid.shape[0], dtype=np.int64)
+    for lo in range(0, n_paths, walks._CHUNK):
+        block = states[lo:lo + walks._CHUNK]
+        inside = block[np.all(block < cap, axis=1)].astype(np.int64)
+        counts += np.bincount(np.ravel_multi_index(inside.T, shape),
+                              minlength=counts.size)
     cells = 0
     worst = 0.0
     for i in np.flatnonzero(approx >= mass_floor / 2):

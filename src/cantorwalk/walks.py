@@ -116,21 +116,38 @@ class ZetaJumpSampler:
         return idx
 
     def sample_abs(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Vector of jump magnitudes (float64 holding exact integers)."""
-        u = rng.random(size)
-        out = np.empty(size)
+        """Vector of jump magnitudes (float64 holding exact integers).
+
+        Draws all ``size`` uniforms, overwrites each _CHUNK of them in
+        place with its table magnitudes, then draws the tail magnitudes
+        (table index TABLE_SIZE) in index order in one ``_sample_tail``
+        call: the stream of one lookup over all draws, in O(_CHUNK) memory
+        besides the result and the tail draws.
+        """
+        out = rng.random(size)
+        tails = [np.empty(0, np.intp)]
         for lo in range(0, size, _CHUNK):
-            out[lo:lo + _CHUNK] = self._table_index(u[lo:lo + _CHUNK]) + 1
-        tail = out > TABLE_SIZE
-        ntail = int(np.count_nonzero(tail))
-        if ntail:
-            out[tail] = self._sample_tail(rng, ntail)
+            chunk = out[lo:lo + _CHUNK]
+            np.add(self._table_index(chunk), 1, out=chunk)
+            tails.append(np.flatnonzero(chunk > TABLE_SIZE) + lo)
+        tail = np.concatenate(tails)
+        if tail.size:
+            out[tail] = self._sample_tail(rng, tail.size)
         return out
 
     def sample_signed(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        mag = self.sample_abs(rng, size)
-        sign = rng.integers(0, 2, size=size) * 2 - 1
-        return mag * sign
+        """Signed jumps: ``sample_abs``, then one fair sign per jump, drawn
+        with one ``rng.integers(0, 2)`` call per _CHUNK and applied in
+        place.  PCG64 keeps its spare 32-bit half in the bit generator, so
+        the chunked calls draw the same stream as one call of ``size``."""
+        out = self.sample_abs(rng, size)
+        for lo in range(0, size, _CHUNK):
+            chunk = out[lo:lo + _CHUNK]
+            sign = rng.integers(0, 2, size=chunk.size)
+            sign *= 2
+            sign -= 1
+            chunk *= sign
+        return out
 
 
 @dataclass(frozen=True)
@@ -172,6 +189,8 @@ class WalkPath:
     ``jumps`` is the signed jump stream that drove the path (folded and
     dissipative paths audit their construction through it).  States are
     float64 holding exact integers; heavy-tailed jumps can exceed int64.
+    A path holds these two arrays and nothing else: the running sums are
+    written into ``states`` and folded there in place.
     """
 
     params: WalkParams
@@ -180,21 +199,14 @@ class WalkPath:
     jumps: np.ndarray
 
 
-def _signed_states(params: WalkParams, rng: np.random.Generator):
-    sampler = ZetaJumpSampler.cached(params.beta)
-    jumps = sampler.sample_signed(rng, params.steps)
-    states = np.concatenate(([0.0], np.cumsum(jumps)))
-    return states, jumps
-
-
 def simulate_path(params: WalkParams, path_id: int = 0) -> WalkPath:
     """Simulate one path, reproducible from (params.seed, path_id)."""
     rng = path_rng(params.seed, path_id)
-    signed, jumps = _signed_states(params, rng)
-    if params.kind == "cauchy_Z":
-        states = signed
-    else:
-        states = np.abs(signed)
+    jumps = ZetaJumpSampler.cached(params.beta).sample_signed(rng, params.steps)
+    states = np.zeros(params.steps + 1)
+    np.cumsum(jumps, out=states[1:])
+    if params.kind != "cauchy_Z":
+        np.abs(states, out=states)
     return WalkPath(params=params, path_id=path_id, states=states, jumps=jumps)
 
 

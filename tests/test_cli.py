@@ -195,6 +195,11 @@ WALK = ("walk", "--kind", "dissipative", "--alpha", "3/4", "--steps", "10",
     # argparse read a word starting with a minus sign as an option
     ("intervals", "--word", "-1,2"),
     ("measure", "--word", "-2,1", "--alpha", "3/4"),
+    # a raw numpy MemoryError traceback; 10^17 float64 is 711 PiB, beyond any
+    # address space, so nothing is allocated
+    ("walk", "--kind", "dissipative", "--alpha", "3/4", "--steps",
+     "99999999999999999", "--seed", "1"),
+    ("dim", "--alpha", "3/4", "--depth", "99999999999999999", "--seed", "1"),
 ])
 def test_bad_inputs_are_clean_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

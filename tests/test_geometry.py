@@ -347,3 +347,11 @@ def test_geometry_memos_stay_within_their_caps():
         assert info.currsize <= info.maxsize
     _, boundaries = geometry._phi_constants(geometry.DEFAULT_PRECISION)
     assert len(boundaries) == geometry._PHI_CAP + 1
+
+
+@pytest.mark.parametrize("t", [geometry._H2_CAP + 1, geometry._H2_CAP + 2,
+                               4957, 10 ** 4])
+def test_h2_past_the_cap_equals_the_one_at_a_time_sum(t):
+    # the tail past the memo cap is summed by binary splitting
+    assert geometry._h2(t) == summed_h2(t)
+    assert len(geometry._H2_PREFIX) == geometry._H2_CAP + 1

@@ -1,9 +1,11 @@
 """Structure of the verification suite: criterion metadata, the rule that
-one run simulates each frozen path batch exactly once, and the threaded
-batches, which must equal a serial loop at any CPU count."""
+one run simulates each frozen path batch exactly once, the threaded
+batches, which must equal a serial loop at any CPU count, and the memory
+that the one-shot Monte Carlo criteria hold."""
 import collections
 import os
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -131,3 +133,23 @@ def test_path_batch_without_sched_getaffinity(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", cpu_count)
         rows = verify._path_batch.__wrapped__(verify._returns, *BATCH)
         assert same(rows, expected)
+
+
+def test_path_law_holds_its_states_and_o_chunk():
+    # 3 * 10^6 float64 states (22.9 MiB) formed in place, counted in blocks
+    tracemalloc.start()
+    try:
+        res = verify.criterion_path_law()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.details == {"cells": 90, "worst_z": 2.2505156104240145}
+    assert peak < 40 * 2 ** 20
+
+
+def test_kernel_empirical_details_are_pinned():
+    # |m + L| is formed in place from the signed draws
+    res = verify.criterion_kernel_empirical(n_samples=10 ** 5)
+    assert res.details == {"worst_z": 2.273002737770528, "per_state": {
+        0: 1.5603192990602126, 1: 1.839439314259383, 2: 1.5927939577044883,
+        5: 2.273002737770528, 20: 1.3427902438624875}}

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,6 +8,7 @@ import pytest
 
 from cantorwalk.measure import MeasureParams, transition_prob, zeta
 from cantorwalk.walks import (
+    _CHUNK,
     TABLE_SIZE,
     WalkParams,
     ZetaJumpSampler,
@@ -95,6 +97,91 @@ def test_sample_abs_across_chunks_matches_plain_searchsorted():
     tail = idx >= TABLE_SIZE
     want[tail] = sampler._sample_tail(rng, int(tail.sum()))
     assert np.array_equal(got, want)
+
+
+def oracle_sample_abs(sampler, rng, size):
+    """The sampler before it worked in place: all uniforms, a separate
+    magnitude array, then the tail draws through a boolean mask."""
+    u = rng.random(size)
+    out = np.empty(size)
+    for lo in range(0, size, _CHUNK):
+        out[lo:lo + _CHUNK] = sampler._table_index(u[lo:lo + _CHUNK]) + 1
+    tail = out > TABLE_SIZE
+    ntail = int(np.count_nonzero(tail))
+    if ntail:
+        out[tail] = sampler._sample_tail(rng, ntail)
+    return out
+
+
+def oracle_sample_signed(sampler, rng, size):
+    mag = oracle_sample_abs(sampler, rng, size)
+    sign = rng.integers(0, 2, size=size) * 2 - 1
+    return mag * sign
+
+
+def oracle_signed_states(params, rng):
+    sampler = ZetaJumpSampler.cached(params.beta)
+    jumps = oracle_sample_signed(sampler, rng, params.steps)
+    states = np.concatenate(([0.0], np.cumsum(jumps)))
+    return states, jumps
+
+
+STREAM_BETAS = [Fraction(51, 50), Fraction(6, 5), B32, Fraction(9, 5),
+                Fraction(999, 500), Fraction(2)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("beta", STREAM_BETAS)
+@pytest.mark.parametrize("size", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                  3 * _CHUNK + 5])
+def test_in_place_sampler_draws_the_oracle_stream(beta, size):
+    sampler = ZetaJumpSampler.cached(beta)
+    for method, oracle in ((sampler.sample_abs, oracle_sample_abs),
+                           (sampler.sample_signed, oracle_sample_signed)):
+        got = method(path_rng(23, size), size)
+        assert got.tobytes() == oracle(sampler, path_rng(23, size),
+                                       size).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("beta", STREAM_BETAS)
+def test_successive_odd_calls_keep_the_oracle_stream(beta):
+    # odd sign counts leave PCG64's spare 32-bit half for the next call
+    sampler = ZetaJumpSampler.cached(beta)
+    rng, ref = path_rng(29, 1), path_rng(29, 1)
+    for size in (3, _CHUNK + 7, 1, 2 * _CHUNK + 1, 5):
+        assert (sampler.sample_signed(rng, size).tobytes()
+                == oracle_sample_signed(sampler, ref, size).tobytes())
+        assert (sampler.sample_abs(rng, size).tobytes()
+                == oracle_sample_abs(sampler, ref, size).tobytes())
+    assert rng.integers(0, 2 ** 32) == ref.integers(0, 2 ** 32)
+
+
+@pytest.mark.parametrize("params", [
+    WalkParams(kind="cauchy_Z", steps=3 * _CHUNK + 5, seed=31, beta=B32),
+    WalkParams(kind="folded", steps=_CHUNK + 1, seed=31, beta=Fraction(6, 5)),
+    WalkParams(kind="dissipative", steps=2 * _CHUNK - 1, seed=31,
+               alpha=Fraction(3, 4)),
+])
+def test_in_place_paths_equal_the_oracle(params):
+    p = simulate_path(params, path_id=4)
+    signed, jumps = oracle_signed_states(params, path_rng(31, 4))
+    states = signed if params.kind == "cauchy_Z" else np.abs(signed)
+    assert p.states.tobytes() == states.tobytes()
+    assert p.jumps.tobytes() == jumps.tobytes()
+
+
+def test_sample_signed_holds_one_output_array():
+    # the output plus O(_CHUNK): no full-size magnitude or sign temporaries
+    sampler = ZetaJumpSampler.cached(B32)
+    rng = path_rng(37, 0)
+    tracemalloc.start()
+    try:
+        sampler.sample_signed(rng, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 10 ** 6 + 32 * _CHUNK
 
 
 # sha256 of simulate_path states before the guide-table lookup came in
