@@ -24,7 +24,7 @@ for i in range(50):
     path = simulate_path(WalkParams(kind="dissipative", steps=20000,
                                     seed=SEED, alpha=Fraction(9, 10)),
                          path_id=i)
-    finals.append(dim_series(path, Fraction(9, 10)).ratio[-1])
+    finals.append(dim_series(path.states[1:], Fraction(9, 10)).ratio[-1])
 print(f"  median final ratio: {np.median(finals):.4f}")
 print(f"  5th percentile:     {np.quantile(finals, 0.05):.4f}")
 print("  (the ratio tends to 1 as alpha -> 1 and depth -> infinity)")
@@ -33,7 +33,7 @@ print()
 print("progress of one path's ratio with depth:")
 path = simulate_path(WalkParams(kind="dissipative", steps=20000, seed=SEED,
                                 alpha=Fraction(9, 10)))
-series = dim_series(path, Fraction(9, 10))
+series = dim_series(path.states[1:], Fraction(9, 10))
 for n in (10, 100, 1000, 10000, 20000):
     print(f"  depth {n:6d}: ratio = {series.ratio[n - 1]:.4f}")
 print()

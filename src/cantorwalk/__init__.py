@@ -3,10 +3,9 @@ associated heavy-tailed random walks."""
 
 __version__ = "0.1.0"
 
-from .coding import AdmissibleWord, children, is_admissible
+from .coding import AdmissibleWord, children, is_admissible, step_arrays
 from .geometry import (CylinderGeometry, HoleGeometry, QPolynomial,
-                       cylinder_interval, cylinder_length, hole, phi_apply,
-                       step_arrays)
+                       cylinder_interval, cylinder_length, hole, phi_apply)
 from .measure import (CylinderMass, MeasureParams, consistency_defect,
                       cylinder_mass, transition_prob, zeta)
 from .walks import (WalkParams, WalkPath, folded_kernel_identity,
@@ -17,10 +16,9 @@ from .dimension import (DimSeries, PressureEstimate, dim_series,
                         pressure_dimension)
 
 __all__ = [
-    "AdmissibleWord", "children", "is_admissible",
+    "AdmissibleWord", "children", "is_admissible", "step_arrays",
     "CylinderGeometry", "HoleGeometry", "QPolynomial",
     "cylinder_interval", "cylinder_length", "hole", "phi_apply",
-    "step_arrays",
     "CylinderMass", "MeasureParams", "consistency_defect", "cylinder_mass",
     "transition_prob", "zeta",
     "WalkParams", "WalkPath", "folded_kernel_identity",

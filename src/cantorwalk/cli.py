@@ -140,13 +140,14 @@ def cmd_measure(args) -> int:
 def cmd_walk(args) -> int:
     kwargs = {"kind": args.kind, "steps": args.steps, "seed": args.seed}
     if args.kind == "dissipative":
-        if args.alpha is None:
-            raise CliError("dissipative walk needs --alpha")
+        if args.alpha is None or args.beta is not None:
+            raise CliError("dissipative walk takes --alpha, not --beta")
         _check_boundary(args.alpha, args.allow_boundary)
         kwargs["alpha"] = args.alpha
     else:
-        if args.beta is None:
-            raise CliError(f"{args.kind} walk needs --beta")
+        if args.beta is None or args.alpha is not None or args.allow_boundary:
+            raise CliError(f"{args.kind} walk takes --beta, not --alpha "
+                           "or --allow-boundary")
         kwargs["beta"] = args.beta
     params = walks.WalkParams(**kwargs)
     if args.checkpoints is not None:
@@ -181,7 +182,7 @@ def cmd_dim(args) -> int:
         path = walks.simulate_path(
             walks.WalkParams(kind="dissipative", steps=args.depth,
                              seed=args.seed, alpha=args.alpha), path_id=i)
-        s = dimension.dim_series(path, args.alpha)
+        s = dimension.dim_series(path.states[1:], args.alpha)
         finals.append(s.ratio[-1])
         stride = max(1, args.depth // args.rows_per_path)
         for n in range(stride - 1, args.depth, stride):

@@ -1,14 +1,16 @@
-"""Admissible symbol sequences and the child rule of the interval construction.
+"""Admissible symbol sequences, the step rule and the child rule of the
+interval construction.
 
 A finite word (k1, ..., kn) of non-negative integers codes one fundamental
-interval of the nested construction.  The rules are:
-
-* the first symbol is positive,
-* the symbol 0 is always followed by a nonzero symbol (state 0 renews),
-* a symbol may repeat only when it is nonzero.
+interval of the nested construction.  ``step_arrays`` states the step rule
+once: the child of a parent with last symbol k at index l has length
+q*|parent|/d(k, l)^2, and d(0, 0) = 0 marks the one illegal step.  So a
+word is admissible when every symbol is non-negative and every step from
+the virtual state k0 = 0 has d > 0: the first symbol is positive and 0 is
+always followed by a nonzero symbol.
 
 The empty word codes the root interval [0, 1) and behaves exactly like the
-virtual state 0 (the construction uses the convention k0 == 0).
+virtual state 0.
 """
 from __future__ import annotations
 
@@ -16,18 +18,33 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
+def step_arrays(prev, nxt):
+    """The step rule from symbol ``prev`` to symbol ``nxt``, as (d, s).
+
+    ``d`` is the length denominator, child length = q*|parent|/d^2: |nxt -
+    prev| on an ordinary step, 2*prev on a repetition and prev on a renewal
+    (nxt = 0); d = 0 marks the illegal step 0 -> 0.  ``s`` is prev + nxt on
+    an ordinary step and 0 otherwise, so the kernel numerator is
+    d^-beta + s^-beta with the s term only where s > 0.
+
+    Branch-free, so the same code is exact on Python ints (any size) and
+    runs elementwise on int64 and float64 arrays.
+    """
+    d = abs(nxt - prev) + 2 * prev * (nxt == prev)
+    s = (nxt + prev) * (nxt != prev) * (nxt != 0)
+    return d, s
+
+
 def is_admissible(symbols: Sequence[int]) -> bool:
-    """True iff ``symbols`` codes a fundamental interval.
+    """True iff ``symbols`` codes a fundamental interval: every symbol is
+    non-negative and every step from the virtual state 0 has d > 0.
 
     Total function: any sequence of integers is accepted as input, and
     negative entries simply yield False.
     """
     prev = 0  # virtual state before the first symbol
-    for k in symbols:
-        k = int(k)
-        if k < 0:
-            return False
-        if prev == 0 and k == 0:
+    for k in map(int, symbols):
+        if k < 0 or not step_arrays(prev, k)[0]:
             return False
         prev = k
     return True
@@ -65,11 +82,6 @@ class AdmissibleWord:
     def extend(self, k: int) -> "AdmissibleWord":
         return AdmissibleWord(self.symbols + (int(k),))
 
-    def parent(self) -> "AdmissibleWord":
-        if not self.symbols:
-            raise ValueError("root word has no parent")
-        return AdmissibleWord(self.symbols[:-1])
-
     def transitions(self) -> list[tuple[int, int]]:
         """The (prev, next) pairs from the virtual state k0 == 0."""
         out = []
@@ -78,9 +90,6 @@ class AdmissibleWord:
             out.append((prev, k))
             prev = k
         return out
-
-    def __iter__(self):
-        return iter(self.symbols)
 
     def __str__(self) -> str:
         return ",".join(str(k) for k in self.symbols)
@@ -92,16 +101,13 @@ def children(word: AdmissibleWord, max_index: int) -> list[AdmissibleWord]:
     Returned in spatial left-to-right order: for last symbol k >= 1 the left
     block k+1, k+2, ... fills the left half of the parent and the right block
     0, 1, ..., k sits against the right endpoint; for last symbol 0 (or the
-    root) only the left block 1, 2, ... exists.
+    root) only the left block 1, 2, ... exists, since d(0, 0) = 0.
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     k = word.last
-    if k == 0:
-        return [word.extend(c) for c in range(1, max_index + 1)]
-    left = [word.extend(c) for c in range(k + 1, max_index + 1)]
-    right = [word.extend(c) for c in range(0, min(k, max_index) + 1)]
-    return left + right
+    order = [*range(k + 1, max_index + 1), *range(min(k, max_index) + 1)]
+    return [word.extend(c) for c in order if step_arrays(k, c)[0]]
 
 
 def random_word(rng, depth: int, max_jump: int = 10) -> AdmissibleWord:
@@ -113,11 +119,10 @@ def random_word(rng, depth: int, max_jump: int = 10) -> AdmissibleWord:
     symbols: list[int] = []
     prev = 0
     for _ in range(depth):
-        if prev == 0:
-            k = int(rng.integers(1, max_jump + 1))
-        else:
-            lo = max(0, prev - max_jump)
-            k = int(rng.integers(lo, prev + max_jump + 1))
+        lo = max(0, prev - max_jump)
+        if not step_arrays(prev, lo)[0]:
+            lo += 1
+        k = int(rng.integers(lo, prev + max_jump + 1))
         symbols.append(k)
         prev = k
     return AdmissibleWord(tuple(symbols))

@@ -16,8 +16,8 @@ import mpmath as mp
 import numpy as np
 
 from . import measure
-from .geometry import q_value, step_arrays
-from .walks import WalkPath
+from .coding import step_arrays
+from .geometry import q_value
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -52,24 +52,22 @@ class DimSeries:
     furstenberg: np.ndarray
 
 
-def dim_series(path_or_symbols, alpha, precision: int = 80) -> DimSeries:
-    """Dimension series for a dissipative path (or raw symbol sequence).
+def dim_series(symbols, alpha, precision: int = 80) -> DimSeries:
+    """Dimension series along the prefixes of an admissible symbol
+    sequence, such as a dissipative path's ``states[1:]``.
 
-    Repetition steps use the doubled denominator 2k and renewal steps use
-    k, exactly as in the geometry; both product formulas extend verbatim
-    to these cases.
+    The step denominators and kernel numerators come from ``step_arrays``,
+    so repetition steps use 2k and renewal steps k, exactly as in the
+    geometry.  A negative or non-integer symbol or an illegal step (d = 0)
+    is a ValueError.
     """
-    if isinstance(path_or_symbols, WalkPath):
-        if path_or_symbols.params.kind != "dissipative":
-            raise ValueError("dim_series expects a dissipative path")
-        symbols = np.asarray(path_or_symbols.states[1:], dtype=np.float64)
-    else:
-        symbols = np.asarray(path_or_symbols, dtype=np.float64)
+    symbols = np.asarray(symbols, dtype=np.float64)
     if symbols.size == 0:
         raise ValueError("empty prefix")
     alpha = Fraction(alpha)
     d, s = step_arrays(np.concatenate(([0.0], symbols[:-1])), symbols)
-    if np.any(d <= 0):
+    if (np.any(d <= 0) or np.any(symbols < 0)
+            or np.any(symbols != np.floor(symbols))):
         raise ValueError("prefix is not admissible")
     f = measure.numerator_array(d, s, float(2 * alpha))
     log_q, log_2zb = _dim_constants(alpha, precision)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .coding import AdmissibleWord
+from .coding import AdmissibleWord, step_arrays
 
 DEFAULT_PRECISION = 256
 
@@ -76,13 +76,6 @@ class QPolynomial:
             d[j] = d.get(j, Fraction(0)) + c
         return QPolynomial.from_dict(d)
 
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "QPolynomial":
-        c = Fraction(c)
-        return QPolynomial.from_dict({j: cj * c for j, cj in self.coeffs})
-
     def evaluate(self, precision: int = DEFAULT_PRECISION):
         """Plain mpf evaluation at q (error within a few ulps of 2^-precision)."""
         with mp.workprec(precision + 10):
@@ -100,23 +93,6 @@ def _q_power(j: int, precision: int):
     """q^j at ``precision`` bits, as ``QPolynomial.evaluate`` computed it."""
     with mp.workprec(precision):
         return q_value(precision) ** j
-
-
-def step_arrays(prev, nxt):
-    """The step rule from symbol ``prev`` to symbol ``nxt``, as (d, s).
-
-    ``d`` is the length denominator, child length = q*|parent|/d^2: |nxt -
-    prev| on an ordinary step, 2*prev on a repetition and prev on a renewal
-    (nxt = 0); d = 0 marks the illegal step 0 -> 0.  ``s`` is prev + nxt on
-    an ordinary step and 0 otherwise, so the kernel numerator is
-    d^-beta + s^-beta with the s term only where s > 0.
-
-    Branch-free, so the same code is exact on Python ints (any size) and
-    runs elementwise on int64 and float64 arrays.
-    """
-    d = abs(nxt - prev) + 2 * prev * (nxt == prev)
-    s = (nxt + prev) * (nxt != prev) * (nxt != 0)
-    return d, s
 
 
 def cylinder_length(word: AdmissibleWord) -> tuple[Fraction, int]:
@@ -146,6 +122,13 @@ def _inverse_square_sum(a: int, b: int) -> Fraction:
         return Fraction(1, a * a)
     mid = (a + b) // 2
     return _inverse_square_sum(a, mid) + _inverse_square_sum(mid, b)
+
+
+def _right_block(k: int, c: int) -> Fraction:
+    """Summed lengths, in units of q*|parent|, of the right-block children
+    c, c+1, ..., k of a parent with last symbol k >= 1: 1/(2k)^2 for child
+    k and H2(k - c) for the others."""
+    return Fraction(1, 4 * k * k) + _h2(k - c)
 
 
 @dataclass(frozen=True)
@@ -189,7 +172,7 @@ class CylinderGeometry:
         r, n, k = self.length_coeff, self.depth, self.word.last
         half = QPolynomial.monomial(n, r / 2)
         length = half if k == 0 else QPolynomial.from_dict(
-            {n: r / 2, n + 1: -r * (Fraction(1, 4 * k * k) + _h2(k))})
+            {n: r / 2, n + 1: -r * _right_block(k, 0)})
         return HoleGeometry(self.word, self.left + half, length)
 
 
@@ -215,18 +198,14 @@ def cylinder_interval(word: AdmissibleWord) -> CylinderGeometry:
     prev = 0
     for c in word.symbols:
         if c > prev:
-            j = c - prev
-            left[n + 1] = left.get(n + 1, 0) + r * _h2(j - 1)
-            r = r / (j * j)
+            left[n + 1] = left.get(n + 1, 0) + r * _h2(c - prev - 1)
         else:
-            # right block of a parent with last symbol prev >= 1; the
-            # children c..prev (lengths summed in S) sit flush right.
-            p = prev
-            s = Fraction(1, 4 * p * p) + _h2(p - c)
+            # right block of a parent with last symbol prev >= 1: the
+            # children c..prev sit flush right
             left[n] = left.get(n, 0) + r
-            left[n + 1] = left.get(n + 1, 0) - r * s
-            d = 2 * p if c == p else p - c
-            r = r / (d * d)
+            left[n + 1] = left.get(n + 1, 0) - r * _right_block(prev, c)
+        d, _ = step_arrays(prev, c)
+        r = r / (d * d)
         n += 1
         prev = c
     return CylinderGeometry(word, QPolynomial.from_dict(left), r, n)

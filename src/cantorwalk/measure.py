@@ -15,8 +15,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .coding import AdmissibleWord
-from .geometry import DEFAULT_PRECISION, _to_mpf, step_arrays
+from .coding import AdmissibleWord, step_arrays
+from .geometry import DEFAULT_PRECISION, _to_mpf
 
 _ZETA_CACHE: dict[tuple[str, int], mp.mpf] = {}
 _POWER_CAP = 4096
@@ -118,7 +118,7 @@ def _kernel_power(k: int, beta):
 
 
 def _numerator(d: int, s: int, beta):
-    """Kernel numerator of one step (d, s) of ``geometry.step_arrays`` as an
+    """Kernel numerator of one step (d, s) of ``coding.step_arrays`` as an
     mpf at the working precision: d^-beta, plus s^-beta where s > 0; 0 for
     the illegal step (d = 0)."""
     return sum(_kernel_power(x, beta) for x in (d, s) if x)
@@ -146,7 +146,7 @@ def transition_prob(m: int, l: int, params: MeasureParams):
 class CylinderMass:
     """Structural mass of a cylinder: depth plus integer step descriptors.
 
-    Each factor is the (d, s) pair of ``geometry.step_arrays`` for one step
+    Each factor is the (d, s) pair of ``coding.step_arrays`` for one step
     and evaluates to the kernel numerator d^-2a + s^-2a (no s term where
     s = 0), its powers read from ``_kernel_power``'s tables; the mass is
     (2 zeta(2a))^-n times the product of the factors.

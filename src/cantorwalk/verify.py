@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dimension, geometry, measure, walks
-from .coding import AdmissibleWord, children, random_word
+from .coding import AdmissibleWord, children, random_word, step_arrays
 from .measure import MeasureParams
 
 SEED_PARTITION = 1001
@@ -171,7 +171,7 @@ def criterion_path_law(n_paths: int = 10 ** 6) -> CriterionResult:
     cap = 30
     shape = (cap,) * depth
     grid = np.indices(shape).reshape(depth, -1).T
-    d, s = geometry.step_arrays(np.pad(grid[:, :-1], ((0, 0), (1, 0))), grid)
+    d, s = step_arrays(np.pad(grid[:, :-1], ((0, 0), (1, 0))), grid)
     zeta_b = float(measure.zeta(params.beta, 64))
     # float64 masses pick the candidates (0 where a step is illegal); the
     # exact mass decides, so float rounding cannot move a cell across the floor
@@ -305,7 +305,7 @@ def criterion_borel_cantelli() -> CriterionResult:
 
 def _dimension_scalars(path: walks.WalkPath) -> tuple[float, float, float]:
     """Terminal ratio, tail infimum and Furstenberg deviation of a path."""
-    s = dimension.dim_series(path, DIMENSION_ALPHA)
+    s = dimension.dim_series(path.states[1:], DIMENSION_ALPHA)
     return (s.ratio[-1], s.ratio[DIMENSION_N0 - 1:].min(),
             dimension.furstenberg_ratio_check(s, DIMENSION_N0))
 

@@ -26,7 +26,8 @@ import mpmath as mp
 import numpy as np
 
 from . import measure
-from .geometry import _to_mpf, step_arrays
+from .coding import step_arrays
+from .geometry import _to_mpf
 
 TABLE_SIZE = 1 << 16  # inverse-CDF table covers |jump| <= 2^16
 _GUIDE_SIZE = 1 << 16  # guide buckets; a power of two, so u * size is exact
@@ -186,17 +187,13 @@ class WalkParams:
 class WalkPath:
     """One realization: states[0] = 0 and len(states) = steps + 1.
 
-    ``jumps`` is the signed jump stream that drove the path (folded and
-    dissipative paths audit their construction through it).  States are
-    float64 holding exact integers; heavy-tailed jumps can exceed int64.
-    A path holds these two arrays and nothing else: the running sums are
-    written into ``states`` and folded there in place.
+    States are float64 holding exact integers; heavy-tailed jumps can
+    exceed int64.  A path holds this one array: the running sums of the
+    signed jumps are written into ``states`` and folded there in place,
+    and the jumps are dropped when ``simulate_path`` returns.
     """
 
-    params: WalkParams
-    path_id: int
     states: np.ndarray
-    jumps: np.ndarray
 
 
 def simulate_path(params: WalkParams, path_id: int = 0) -> WalkPath:
@@ -207,7 +204,7 @@ def simulate_path(params: WalkParams, path_id: int = 0) -> WalkPath:
     np.cumsum(jumps, out=states[1:])
     if params.kind != "cauchy_Z":
         np.abs(states, out=states)
-    return WalkPath(params=params, path_id=path_id, states=states, jumps=jumps)
+    return WalkPath(states)
 
 
 def _kernel_pair(beta: Fraction, precision: int):

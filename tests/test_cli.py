@@ -200,6 +200,17 @@ WALK = ("walk", "--kind", "dissipative", "--alpha", "3/4", "--steps", "10",
     ("walk", "--kind", "dissipative", "--alpha", "3/4", "--steps",
      "99999999999999999", "--seed", "1"),
     ("dim", "--alpha", "3/4", "--depth", "99999999999999999", "--seed", "1"),
+    # flags the walk kind ignores were accepted and written into the config
+    ("walk", "--kind", "cauchy_Z", "--beta", "3/2", "--alpha", "3/4",
+     "--steps", "5", "--seed", "1"),
+    ("walk", "--kind", "folded", "--beta", "3/2", "--alpha", "3/4",
+     "--steps", "5", "--seed", "1"),
+    ("walk", "--kind", "dissipative", "--alpha", "3/4", "--beta", "3/2",
+     "--steps", "5", "--seed", "1"),
+    ("walk", "--kind", "cauchy_Z", "--beta", "3/2", "--allow-boundary",
+     "--steps", "5", "--seed", "1"),
+    ("walk", "--kind", "folded", "--beta", "3/2", "--allow-boundary",
+     "--steps", "5", "--seed", "1"),
 ])
 def test_bad_inputs_are_clean_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -105,8 +106,26 @@ def test_parse_round_trip():
 
 
 def test_random_word_admissible():
-    import numpy as np
     rng = np.random.default_rng(0)
     for _ in range(50):
         w = random_word(rng, 20)
         assert is_admissible(w.symbols)
+
+
+# str(random_word(default_rng(seed), 30, max_jump)) before the step rule
+# moved into coding; the verify and benchmark words depend on this stream
+RANDOM_WORD_PINS = {
+    (0, 10): "9,12,12,7,5,0,1,0,2,10,13,22,22,24,34,39,42,43,44,53,48,55,59,"
+             "49,47,55,56,46,52,57",
+    (1001, 10): "10,12,19,9,10,3,10,18,11,2,5,3,6,10,2,1,8,2,1,2,12,4,12,22,"
+                "21,27,25,20,12,12",
+    (3, 500): "406,77,103,143,116,494,864,946,485,92,196,301,498,478,259,121,"
+              "430,683,215,81,263,298,709,726,646,577,744,831,504,742",
+    (5, 1): "1,2,3,2,3,3,3,3,2,3,2,1,1,1,1,0,1,0,1,0,1,0,1,0,1,2,1,1,2,1",
+}
+
+
+@pytest.mark.parametrize("seed, max_jump", sorted(RANDOM_WORD_PINS))
+def test_random_word_stream_is_pinned(seed, max_jump):
+    w = random_word(np.random.default_rng(seed), 30, max_jump=max_jump)
+    assert str(w) == RANDOM_WORD_PINS[seed, max_jump]

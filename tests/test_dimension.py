@@ -58,6 +58,10 @@ def test_dim_series_rejects_inadmissible():
         dim_series([1, 0, 0], Fraction(3, 4))
     with pytest.raises(ValueError):
         dim_series([], Fraction(3, 4))
+    with pytest.raises(ValueError):
+        dim_series([-1, 3], Fraction(3, 4))
+    with pytest.raises(ValueError):
+        dim_series([2.5, 1], Fraction(3, 4))
 
 
 def test_furstenberg_constant_steps():
@@ -73,7 +77,7 @@ def test_furstenberg_constant_steps():
 def test_ratio_on_simulated_path_approaches_one():
     p = simulate_path(WalkParams(kind="dissipative", steps=5000, seed=3,
                                  alpha=Fraction(9, 10)))
-    s = dim_series(p, Fraction(9, 10))
+    s = dim_series(p.states[1:], Fraction(9, 10))
     assert s.ratio[-1] > 0.8
 
 

@@ -5,6 +5,7 @@ that the one-shot Monte Carlo criteria hold."""
 import collections
 import os
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -102,10 +103,9 @@ def test_path_batch_of_one_path(monkeypatch):
 
 
 def test_worker_exception_propagates():
-    n_paths = BATCH[2]
-
     def failing(path):
-        if path.path_id == n_paths - 1:  # never path 0, the calling thread's
+        # every path but path 0, which runs in the calling thread
+        if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("scalars failed")
         return path.states[-1]
 
