@@ -37,6 +37,7 @@ DIMENSION_ALPHA = Fraction(9, 10)
 DIMENSION_PATHS = 100
 DIMENSION_DEPTH = 10 ** 4
 DIMENSION_N0 = 1000  # both dimension criteria look at n >= DIMENSION_N0
+_PATHS_PER_TASK = 8  # paths a batch thread simulates per task
 
 
 @dataclass
@@ -206,12 +207,15 @@ def _path_batch(scalars, seed: int, alpha: Fraction, n_paths: int,
     paths themselves are not kept.  run_all clears this cache, so one run
     simulates each batch once, in the first criterion that reads it.
 
-    Path 0 runs in the calling thread; paths 1 .. n_paths - 1 are split
-    into contiguous path-id ranges, one thread per usable CPU.  Each path
-    has its own seeded generator and the rows are joined in path order, so
-    they do not depend on the number of CPUs.  The worker threads must run
-    numpy only: mpmath's precision is one global context, and two threads
-    inside ``mp.workprec`` can compute at the wrong precision and leave
+    Path 0 runs in the calling thread; paths 1 .. n_paths - 1 go in
+    blocks of ``_PATHS_PER_TASK`` to one thread per usable CPU, each thread
+    taking the next block when it finishes one, so a CPU that the machine
+    slows down takes fewer blocks instead of holding up a fixed share.
+    Each path has its own seeded generator and the rows are joined in path
+    order, so they do not depend on the number of CPUs or on which thread
+    ran a block.  The worker threads must run numpy only: mpmath's
+    precision is one global context, and two threads inside
+    ``mp.workprec`` can compute at the wrong precision and leave
     ``mp.prec`` changed.  Path 0 fills every cache a path touches (the
     sampler table, ``measure.zeta``, the envelope thresholds and the
     ``dim_series`` constants) before the workers start.
@@ -232,8 +236,8 @@ def _path_batch(scalars, seed: int, alpha: Fraction, n_paths: int,
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # sched_getaffinity is Linux-only
     n_workers = max(min(cpus, len(rest)), 1)
-    parts = [rest[len(rest) * k // n_workers:len(rest) * (k + 1) // n_workers]
-             for k in range(n_workers)]
+    parts = [rest[i:i + _PATHS_PER_TASK]
+             for i in range(0, len(rest), _PATHS_PER_TASK)]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         out = np.array(first + [row for part in pool.map(rows, parts)
                                 for row in part])
