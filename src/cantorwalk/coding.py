@@ -14,6 +14,7 @@ virtual state 0.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,18 +36,29 @@ def step_arrays(prev, nxt):
     return d, s
 
 
-def is_admissible(symbols: Sequence[int]) -> bool:
-    """True iff ``symbols`` codes a fundamental interval: every symbol is
-    non-negative and every step from the virtual state 0 has d > 0.
+def _legal_step(prev: int, k) -> bool:
+    """True iff ``k`` is a symbol, a non-negative value of an integer type
+    (``int``, numpy integers), and the step prev -> k has d > 0.  A float
+    such as 2.5 or 2.0 is not a symbol."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        return False
+    return k >= 0 and step_arrays(prev, k)[0] > 0
 
-    Total function: any sequence of integers is accepted as input, and
-    negative entries simply yield False.
+
+def is_admissible(symbols: Sequence[int]) -> bool:
+    """True iff ``symbols`` codes a fundamental interval: every symbol is a
+    non-negative integer and every step from the virtual state 0 has d > 0.
+
+    Total function: any sequence is accepted as input, and a negative or
+    non-integer entry simply yields False.
     """
     prev = 0  # virtual state before the first symbol
-    for k in map(int, symbols):
-        if k < 0 or not step_arrays(prev, k)[0]:
+    for k in symbols:
+        if not _legal_step(prev, k):
             return False
-        prev = k
+        prev = operator.index(k)
     return True
 
 
@@ -57,10 +69,10 @@ class AdmissibleWord:
     symbols: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        syms = tuple(int(k) for k in self.symbols)
-        object.__setattr__(self, "symbols", syms)
+        syms = tuple(self.symbols)
         if not is_admissible(syms):
             raise ValueError(f"inadmissible word: {syms}")
+        object.__setattr__(self, "symbols", tuple(map(operator.index, syms)))
 
     @classmethod
     def parse(cls, text: str) -> "AdmissibleWord":
@@ -80,7 +92,13 @@ class AdmissibleWord:
         return self.symbols[-1] if self.symbols else 0
 
     def extend(self, k: int) -> "AdmissibleWord":
-        return AdmissibleWord(self.symbols + (int(k),))
+        """This word followed by symbol k; only the new step is checked."""
+        if not _legal_step(self.last, k):
+            raise ValueError(f"inadmissible word: {self.symbols + (k,)}")
+        word = object.__new__(AdmissibleWord)  # skips the whole-word check
+        object.__setattr__(word, "symbols",
+                           self.symbols + (operator.index(k),))
+        return word
 
     def transitions(self) -> list[tuple[int, int]]:
         """The (prev, next) pairs from the virtual state k0 == 0."""

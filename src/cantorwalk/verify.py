@@ -38,6 +38,9 @@ DIMENSION_PATHS = 100
 DIMENSION_DEPTH = 10 ** 4
 DIMENSION_N0 = 1000  # both dimension criteria look at n >= DIMENSION_N0
 _PATHS_PER_TASK = 8  # paths a batch thread simulates per task
+# jumps per block in the one-step kernel and path-law checks, which draw
+# and count block by block; a multiple of the path-law depth 3
+_BLOCK = 3 * 2 ** 13
 
 
 @dataclass
@@ -122,17 +125,22 @@ def _empirical_kernel_cells(m: int, alpha: Fraction, n_samples: int,
                             rng: np.random.Generator):
     """One-step empirical frequencies from state m vs the analytic kernel."""
     sampler = walks.ZetaJumpSampler.cached(2 * alpha)
-    nxt = sampler.sample_signed(rng, n_samples)
-    nxt += m
-    np.abs(nxt, out=nxt)  # |m + L|, formed in place
     params = MeasureParams(alpha=alpha, precision=64)
     cells = sorted({0, 1, 2, 3, 4, 5} | {max(m - 1, 0), m, m + 1})
+    # counts of min(|m + L|, cap): bin l < cap counts |m + L| == l exactly
+    cap = cells[-1] + 1
+    hist = np.zeros(cap + 1, dtype=np.int64)
+    for nxt in sampler.signed_blocks(rng, n_samples, _BLOCK):
+        nxt += m
+        np.abs(nxt, out=nxt)
+        np.minimum(nxt, cap, out=nxt)
+        hist += np.bincount(nxt.astype(np.intp), minlength=cap + 1)
     out = []
     for l in cells:
         if m == 0 and l == 0:
             continue
         p = float(measure.transition_prob(m, l, params))
-        obs = int(np.count_nonzero(nxt == l))
+        obs = int(hist[l])
         sigma = np.sqrt(n_samples * p * (1 - p))
         out.append((l, p, obs, abs(obs - n_samples * p) / sigma))
     return out
@@ -165,37 +173,39 @@ def criterion_path_law(n_paths: int = 10 ** 6) -> CriterionResult:
     params = MeasureParams(alpha=alpha, precision=64)
     rng = np.random.default_rng(SEED_PATHLAW)
     sampler = walks.ZetaJumpSampler.cached(2 * alpha)
-    states = sampler.sample_signed(rng, n_paths * depth).reshape(n_paths, depth)
-    np.cumsum(states, axis=1, out=states)  # the jumps become the states
-    np.abs(states, out=states)
-    # every word in [0, cap)^depth; small symbols are enough at mass >= 1e-3
+    # every word in [0, cap)^depth; small symbols are enough at mass >= 1e-3.
+    # f[p, n] is the kernel numerator of the step p -> n, and row 0 that of
+    # the first step, from the virtual state 0
     cap = 30
     shape = (cap,) * depth
-    grid = np.indices(shape).reshape(depth, -1).T
-    d, s = step_arrays(np.pad(grid[:, :-1], ((0, 0), (1, 0))), grid)
+    d, s = step_arrays(*np.ogrid[:cap, :cap])
+    f = measure.numerator_array(d, s, float(params.beta))
     zeta_b = float(measure.zeta(params.beta, 64))
     # float64 masses pick the candidates (0 where a step is illegal); the
     # exact mass decides, so float rounding cannot move a cell across the floor
-    approx = np.prod(measure.numerator_array(d, s, float(params.beta)),
-                     axis=1) / (2 * zeta_b) ** depth
-    # mask on the float states: one past 2^63 would cast to a negative int64;
-    # counted in row blocks, to bound the temporaries
-    counts = np.zeros(grid.shape[0], dtype=np.int64)
-    for lo in range(0, n_paths, walks._CHUNK):
-        block = states[lo:lo + walks._CHUNK]
-        inside = block[np.all(block < cap, axis=1)].astype(np.int64)
+    approx = (f[0][:, None, None] * f[:, :, None] * f[None, :, :]
+              / (2 * zeta_b) ** depth)
+    # the paths are drawn and counted in blocks of whole rows; mask on the
+    # float states: one past 2^63 would cast to a negative int64
+    counts = np.zeros(cap ** depth, dtype=np.int64)
+    for jumps in sampler.signed_blocks(rng, n_paths * depth, _BLOCK):
+        states = jumps.reshape(-1, depth)
+        np.cumsum(states, axis=1, out=states)  # the jumps become the states
+        np.abs(states, out=states)
+        inside = states[np.all(states < cap, axis=1)].astype(np.int64)
         counts += np.bincount(np.ravel_multi_index(inside.T, shape),
                               minlength=counts.size)
+    counts = counts.reshape(shape)
     cells = 0
     worst = 0.0
-    for i in np.flatnonzero(approx >= mass_floor / 2):
-        wrd = AdmissibleWord(tuple(grid[i].tolist()))
+    for word in zip(*np.nonzero(approx >= mass_floor / 2)):
+        wrd = AdmissibleWord(word)
         mass = float(measure.cylinder_mass(wrd, params).value(64))
         if mass < mass_floor:
             continue
         cells += 1
         sigma = np.sqrt(n_paths * mass * (1 - mass))
-        worst = max(worst, abs(int(counts[i]) - n_paths * mass) / sigma)
+        worst = max(worst, abs(int(counts[word]) - n_paths * mass) / sigma)
     return CriterionResult("path law = cylinder mass", bool(worst < 3.0),
                            {"cells": cells, "worst_z": worst})
 

@@ -18,6 +18,7 @@ on its own.
 """
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,21 +83,43 @@ class ZetaJumpSampler:
         return s
 
     def _sample_tail(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Magnitudes > TABLE_SIZE, exact accept/reject on the integer law."""
+        """Magnitudes > TABLE_SIZE, exact accept/reject on the integer law.
+
+        Each round computes the proposals j, the envelope and the
+        acceptance ratio in the three rows of one reused work array, with
+        the same float operations, in the same order, as the plain
+        expressions in the comments.
+        """
         b = self.beta_f
-        j0 = float(TABLE_SIZE)
         out = np.empty(size)
         need = np.arange(size)
+        work = np.empty((3, size))
         while need.size:
-            u = rng.random(need.size)
-            x = j0 * (1.0 - u) ** (-1.0 / (b - 1.0))
-            j = np.floor(x) + 1.0  # proposal pmf prop. to int_{j-1}^{j} x^-b
-            # (j-1)^(1-b) - j^(1-b), in a cancellation-safe form
-            envelope = j ** (1.0 - b) * np.expm1(
-                (1.0 - b) * np.log1p(-1.0 / j)) / (b - 1.0)
+            j, env, ratio = work[:, :need.size]
+            # j = floor(TABLE_SIZE * (1 - u) ** (-1 / (b - 1))) + 1, proposal
+            # pmf prop. to int_{j-1}^{j} x^-b
+            rng.random(out=j)
+            np.subtract(1.0, j, out=j)
+            j **= -1.0 / (b - 1.0)  # dispatches as ** does, not as np.power
+            j *= float(TABLE_SIZE)
+            np.floor(j, out=j)
+            j += 1.0
+            # env = (j-1)^(1-b) - j^(1-b), in the cancellation-safe form
+            # j ** (1 - b) * expm1((1 - b) * log1p(-1 / j)) / (b - 1)
+            np.divide(-1.0, j, out=env)
+            np.log1p(env, out=env)
+            env *= 1.0 - b
+            np.expm1(env, out=env)
+            ratio[:] = j
+            ratio **= 1.0 - b
+            np.multiply(ratio, env, out=env)
+            env /= b - 1.0
+            ratio[:] = j
+            ratio **= -b
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = j ** (-b) / envelope
-            accept = rng.random(need.size) < np.nan_to_num(ratio, nan=0.0)
+                ratio /= env  # j ** -b / env
+            np.nan_to_num(ratio, copy=False, nan=0.0)
+            accept = rng.random(out=env) < ratio
             out[need[accept]] = j[accept]
             need = need[~accept]
         return out
@@ -116,6 +139,24 @@ class ZetaJumpSampler:
             idx[wide] = np.searchsorted(self.cum, u[wide])
         return idx
 
+    def _lookup(self, u: np.ndarray) -> None:
+        """Overwrite the uniforms ``u`` (at most _CHUNK of them) in place
+        with their table magnitudes; TABLE_SIZE + 1 marks a tail draw."""
+        np.add(self._table_index(u), 1, out=u)
+
+    @staticmethod
+    def _apply_signs(rng: np.random.Generator, x: np.ndarray) -> None:
+        """Multiply ``x`` in place by one fair sign per entry, drawn with one
+        ``rng.integers(0, 2)`` call per _CHUNK.  PCG64 keeps its spare
+        32-bit half in the bit generator, so chunked calls, here or across
+        calls, draw the same stream as one call over all entries."""
+        for lo in range(0, x.size, _CHUNK):
+            chunk = x[lo:lo + _CHUNK]
+            sign = rng.integers(0, 2, size=chunk.size)
+            sign *= 2
+            sign -= 1
+            chunk *= sign
+
     def sample_abs(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vector of jump magnitudes (float64 holding exact integers).
 
@@ -129,7 +170,7 @@ class ZetaJumpSampler:
         tails = [np.empty(0, np.intp)]
         for lo in range(0, size, _CHUNK):
             chunk = out[lo:lo + _CHUNK]
-            np.add(self._table_index(chunk), 1, out=chunk)
+            self._lookup(chunk)
             tails.append(np.flatnonzero(chunk > TABLE_SIZE) + lo)
         tail = np.concatenate(tails)
         if tail.size:
@@ -137,18 +178,41 @@ class ZetaJumpSampler:
         return out
 
     def sample_signed(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Signed jumps: ``sample_abs``, then one fair sign per jump, drawn
-        with one ``rng.integers(0, 2)`` call per _CHUNK and applied in
-        place.  PCG64 keeps its spare 32-bit half in the bit generator, so
-        the chunked calls draw the same stream as one call of ``size``."""
+        """Signed jumps: ``sample_abs``, then one fair sign per jump."""
         out = self.sample_abs(rng, size)
-        for lo in range(0, size, _CHUNK):
-            chunk = out[lo:lo + _CHUNK]
-            sign = rng.integers(0, 2, size=chunk.size)
-            sign *= 2
-            sign -= 1
-            chunk *= sign
+        self._apply_signs(rng, out)
         return out
+
+    def signed_blocks(self, rng: np.random.Generator, size: int, block: int):
+        """Yield ``sample_signed(rng, size)`` as consecutive fresh arrays of
+        ``block`` jumps (the last may be shorter), in O(block) memory
+        besides the tail draws; once exhausted, ``rng`` is where
+        ``sample_signed`` leaves it.
+
+        The first pass draws the uniforms a block at a time only to count
+        the tail draws (u above the last table entry), then draws their
+        magnitudes from ``rng``.  The second pass replays the uniforms from
+        a copy of the generator taken before the first, looks them up,
+        drops the tail magnitudes in, and draws each block's signs from
+        ``rng``: the draws of ``sample_signed``, in its order.
+        """
+        replay = copy.deepcopy(rng)
+        last = self.cum[TABLE_SIZE - 1]
+        n_tail = 0
+        for lo in range(0, size, block):
+            u = rng.random(min(block, size - lo))
+            n_tail += int(np.count_nonzero(u > last))
+        tail_mags = self._sample_tail(rng, n_tail)
+        t = 0
+        for lo in range(0, size, block):
+            out = replay.random(min(block, size - lo))
+            for c in range(0, out.size, _CHUNK):
+                self._lookup(out[c:c + _CHUNK])
+            tail = np.flatnonzero(out > TABLE_SIZE)
+            out[tail] = tail_mags[t:t + tail.size]
+            t += tail.size
+            self._apply_signs(rng, out)
+            yield out
 
 
 @dataclass(frozen=True)

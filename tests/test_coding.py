@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cantorwalk import coding
 from cantorwalk.coding import AdmissibleWord, children, is_admissible, random_word
 
 
@@ -25,6 +26,25 @@ def test_leading_zero_rejected():
 
 def test_negative_rejected():
     assert not is_admissible((1, -2))
+
+
+def test_non_integer_symbols_rejected():
+    assert not is_admissible([2.5, -0.5])
+    assert not is_admissible((2.0, 1))
+    with pytest.raises(ValueError):
+        AdmissibleWord((2.5, 1))
+    with pytest.raises(ValueError):
+        AdmissibleWord((1,)).extend(2.5)
+
+
+def test_integer_types_accepted():
+    syms = (np.int64(2), np.int32(1), 0, np.uint8(3))
+    assert is_admissible(syms)
+    w = AdmissibleWord(syms)
+    assert w.symbols == (2, 1, 0, 3)
+    assert all(type(k) is int for k in w.symbols)
+    assert w.extend(np.int64(3)).symbols == (2, 1, 0, 3, 3)
+    assert type(w.extend(np.int64(3)).symbols[-1]) is int
 
 
 def test_word_constructor_validates():
@@ -60,6 +80,53 @@ def words(draw, max_depth=8):
         syms.append(k)
         prev = k
     return AdmissibleWord(tuple(syms))
+
+
+def brute_admissible(seq) -> bool:
+    """The rule restated: non-negative ints, no 0 first, no 0 after 0."""
+    return (all(type(k) is int and k >= 0 for k in seq)
+            and all(a or b for a, b in zip((0, *seq), seq)))
+
+
+@given(words(), st.integers(0, 12))
+def test_children_match_brute_force_filter(word, max_index):
+    # the left block (above the last symbol), then the right block
+    ok = [c for c in range(max_index + 1)
+          if brute_admissible(word.symbols + (c,))]
+    k = word.last
+    want = [c for c in ok if c > k] + [c for c in ok if c <= k]
+    assert [w.symbols for w in children(word, max_index)] == [
+        word.symbols + (c,) for c in want]
+
+
+def brute_random_word(rng, depth, max_jump):
+    syms = ()
+    for _ in range(depth):
+        prev = syms[-1] if syms else 0
+        ok = [c for c in range(prev - max_jump, prev + max_jump + 1)
+              if brute_admissible(syms + (c,))]
+        syms += (int(rng.integers(ok[0], ok[-1] + 1)),)
+    return syms
+
+
+@pytest.mark.parametrize("seed, max_jump", [(0, 10), (1001, 10), (3, 500),
+                                            (5, 1), (7, 2)])
+def test_random_word_matches_brute_force_filter(seed, max_jump):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for depth in (1, 5, 30):
+        assert (random_word(rng, depth, max_jump).symbols
+                == brute_random_word(ref, depth, max_jump))
+
+
+def test_children_check_one_step_per_child(monkeypatch):
+    word = random_word(np.random.default_rng(2), 30)
+    calls = []
+    step = coding.step_arrays
+    monkeypatch.setattr(coding, "step_arrays",
+                        lambda p, n: calls.append(1) or step(p, n))
+    kids = children(word, 30)
+    # the filter and the appended step: two checks per candidate symbol
+    assert len(kids) >= 30 and len(calls) <= 2 * 31
 
 
 @given(words(), st.integers(0, 12))

@@ -135,16 +135,32 @@ def test_path_batch_without_sched_getaffinity(monkeypatch):
         assert same(rows, expected)
 
 
-def test_path_law_holds_its_states_and_o_chunk():
-    # 3 * 10^6 float64 states (22.9 MiB) formed in place, counted in blocks
+def traced_peak(fn, **kwargs):
     tracemalloc.start()
     try:
-        res = verify.criterion_path_law()
-        peak = tracemalloc.get_traced_memory()[1]
+        res = fn(**kwargs)
+        return res, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_path_law_draws_in_o_block_memory():
+    # the 3 * n_paths jumps are drawn and counted in blocks: ten times the
+    # paths, the same peak (it was 28 MiB at 10^6 paths when held whole)
+    verify.criterion_path_law(n_paths=100)  # sampler table and zeta caches
+    small = traced_peak(verify.criterion_path_law, n_paths=10 ** 5)[1]
+    res, peak = traced_peak(verify.criterion_path_law)
     assert res.details == {"cells": 90, "worst_z": 2.2505156104240145}
-    assert peak < 40 * 2 ** 20
+    assert abs(peak - small) < 2 ** 20
+
+
+def test_kernel_empirical_draws_in_o_block_memory():
+    verify.criterion_kernel_empirical(n_samples=100)
+    small = traced_peak(verify.criterion_kernel_empirical,
+                        n_samples=10 ** 5)[1]
+    res, peak = traced_peak(verify.criterion_kernel_empirical)
+    assert res.passed
+    assert abs(peak - small) < 2 ** 20
 
 
 def test_kernel_empirical_details_are_pinned():
