@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -153,48 +154,43 @@ def cmd_walk(args) -> int:
     if args.checkpoints is not None:
         checkpoints = [int(t) for t in args.checkpoints.split(",")]
         rep = walks.transience_stats(params, args.paths, checkpoints)
-        payload = {
-            "return_fraction": {str(k): v
-                                for k, v in rep.return_fraction.items()},
-            "escape_fraction": {str(k): {str(t): v for t, v in d.items()}
-                                for k, d in rep.escape_fraction.items()},
-            "state_quantiles": {str(k): v
-                                for k, v in rep.state_quantiles.items()},
-            "seeds": rep.seeds,
-            "meta": _meta(args),
-        }
+        # the JSON round trip turns the integer keys into strings
+        payload = json.loads(json.dumps(dataclasses.asdict(rep)))
+        payload["meta"] = _meta(args)
         _emit(args, payload)
         return 0
-    lines = []  # one string per path
-    for i in range(args.paths):
-        states = walks.simulate_path(params, path_id=i).states.tolist()
-        lines.append("".join(f"{i},{n},{s}\n"
-                             for n, s in enumerate(map(int, states))))
+    lines = walks.path_batch(params, args.paths, _walk_rows)
     _emit_csv(args, ["path_id", "step", "state"], lines, _meta(args))
     return 0
 
 
+def _walk_rows(path: walks.WalkPath) -> str:
+    """The CSV rows of one path, as one string."""
+    return "".join(f"{path.path_id},{n},{s}\n"
+                   for n, s in enumerate(map(int, path.states.tolist())))
+
+
 def cmd_dim(args) -> int:
     _check_boundary(args.alpha, args.allow_boundary)
-    lines = []
-    finals = []
-    for i in range(args.paths):
-        path = walks.simulate_path(
-            walks.WalkParams(kind="dissipative", steps=args.depth,
-                             seed=args.seed, alpha=args.alpha), path_id=i)
+    params = walks.WalkParams(kind="dissipative", steps=args.depth,
+                              seed=args.seed, alpha=args.alpha)
+    stride = max(1, args.depth // args.rows_per_path)
+
+    def rows(path: walks.WalkPath) -> tuple[float, str]:  # ratio, CSV rows
         s = dimension.dim_series(path.states[1:], args.alpha)
-        finals.append(s.ratio[-1])
-        stride = max(1, args.depth // args.rows_per_path)
+        i, out = path.path_id, []
         for n in range(stride - 1, args.depth, stride):
             # the last depth has no Furstenberg ratio: an empty field
             fr = f"{s.furstenberg[n]:.12g}" if n < s.furstenberg.size else ""
-            lines.append(f"{i},{int(s.n[n])},{s.ratio[n]:.12g},{fr}\n")
-    quantiles = {p: float(np.quantile(finals, p))
-                 for p in (0.05, 0.25, 0.5, 0.75, 0.95)}
+            out.append(f"{i},{int(s.n[n])},{s.ratio[n]:.12g},{fr}\n")
+        return s.ratio[-1], "".join(out)
+
+    finals, lines = zip(*walks.path_batch(params, args.paths, rows))
     meta = _meta(args)
-    meta["final_ratio_quantiles"] = {str(k): v for k, v in quantiles.items()}
+    meta["final_ratio_quantiles"] = {str(p): float(np.quantile(finals, p))
+                                     for p in (0.05, 0.25, 0.5, 0.75, 0.95)}
     _emit_csv(args, ["path_id", "n", "ratio", "furstenberg_ratio"],
-              lines, meta)
+              list(lines), meta)
     return 0
 
 

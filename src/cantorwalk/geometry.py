@@ -25,6 +25,7 @@ DEFAULT_PRECISION = 256
 _H_FLOAT_CACHE: dict[tuple[int, int], "mp.mpf"] = {}
 _H2_CAP = 1024
 _H2_PREFIX = [Fraction(0)]  # H2(0), H2(1), ... up to H2(_H2_CAP)
+_H2_LAST = [0, Fraction(0)]  # the last t past _H2_CAP, and H2(t)
 _PHI_CAP = 4096  # phi_apply boundaries kept per precision
 
 
@@ -95,24 +96,35 @@ def _q_power(j: int, precision: int):
         return q_value(precision) ** j
 
 
+def _prefix_lengths(word: AdmissibleWord) -> list[Fraction]:
+    """r_0 = 1, r_1, ..., r_n with |I_prefix| = r_i q^i: r_i = r_{i-1} / d^2
+    for the denominator d of step i."""
+    out = [Fraction(1)]
+    for prev, nxt in word.transitions():
+        out.append(out[-1] / step_arrays(prev, nxt)[0] ** 2)
+    return out
+
+
 def cylinder_length(word: AdmissibleWord) -> tuple[Fraction, int]:
     """Exact length |I_word| = r * q^n; returns (r, n)."""
-    r = Fraction(1)
-    for prev, nxt in word.transitions():
-        d, _ = step_arrays(prev, nxt)
-        r /= d * d
-    return r, word.depth
+    return _prefix_lengths(word)[-1], word.depth
 
 
 def _h2(t: int) -> Fraction:
     """Partial sum of inverse squares, H2(t) = sum_{l<=t} 1/l^2; memoised
-    up to _H2_CAP only, since H2(t)'s denominator has about 2.9 t bits."""
+    up to _H2_CAP, since H2(t)'s denominator has about 2.9 t bits, and past
+    it only the last value, which a larger t extends (a word ending in k
+    reads H2(k - 2) for its interval, H2(k) for its hole)."""
     prefix = _H2_PREFIX
     for l in range(len(prefix), min(t, _H2_CAP) + 1):
         prefix.append(prefix[l - 1] + Fraction(1, l * l))
     if t <= _H2_CAP:
         return prefix[t]
-    return prefix[_H2_CAP] + _inverse_square_sum(_H2_CAP + 1, t + 1)
+    last_t, last = (_H2_LAST if _H2_CAP < _H2_LAST[0] <= t
+                    else (_H2_CAP, prefix[_H2_CAP]))
+    if t > last_t:
+        _H2_LAST[:] = t, last + _inverse_square_sum(last_t + 1, t + 1)
+    return _H2_LAST[1]
 
 
 def _inverse_square_sum(a: int, b: int) -> Fraction:
@@ -193,10 +205,8 @@ def cylinder_interval(word: AdmissibleWord) -> CylinderGeometry:
     right and indices decreasing leftwards down to 0.
     """
     left: dict[int, Fraction] = {}
-    r = Fraction(1)
-    n = 0
-    prev = 0
-    for c in word.symbols:
+    lengths = _prefix_lengths(word)
+    for n, ((prev, c), r) in enumerate(zip(word.transitions(), lengths)):
         if c > prev:
             left[n + 1] = left.get(n + 1, 0) + r * _h2(c - prev - 1)
         else:
@@ -204,11 +214,8 @@ def cylinder_interval(word: AdmissibleWord) -> CylinderGeometry:
             # children c..prev sit flush right
             left[n] = left.get(n, 0) + r
             left[n + 1] = left.get(n + 1, 0) - r * _right_block(prev, c)
-        d, _ = step_arrays(prev, c)
-        r = r / (d * d)
-        n += 1
-        prev = c
-    return CylinderGeometry(word, QPolynomial.from_dict(left), r, n)
+    return CylinderGeometry(word, QPolynomial.from_dict(left), lengths[-1],
+                            word.depth)
 
 
 def hole(word: AdmissibleWord) -> HoleGeometry:

@@ -8,7 +8,6 @@ number here is reproducible bit for bit.
 from __future__ import annotations
 
 import functools
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +36,6 @@ DIMENSION_ALPHA = Fraction(9, 10)
 DIMENSION_PATHS = 100
 DIMENSION_DEPTH = 10 ** 4
 DIMENSION_N0 = 1000  # both dimension criteria look at n >= DIMENSION_N0
-_PATHS_PER_TASK = 8  # paths a batch thread simulates per task
 # jumps per block in the one-step kernel and path-law checks, which draw
 # and count block by block; a multiple of the path-law depth 3
 _BLOCK = 3 * 2 ** 13
@@ -73,17 +71,12 @@ def criterion_partition(n_words: int = 1000, truncation: int = 10 ** 5
     worst_width = 0.0
     ok = True
     for _ in range(n_words):
-        depth = int(rng.integers(1, 31))
-        w = random_word(rng, depth)
+        w = random_word(rng, int(rng.integers(1, 31)))
         lo, hi, half = geometry.left_block_partition_bracket(
             w, truncation, precision=80)
-        length = 2 * half
-        if not (lo <= half <= hi):
-            ok = False
-        width = float((hi - lo) / length)
+        width = float((hi - lo) / (2 * half))
         worst_width = max(worst_width, width)
-        if width >= 1e-4:
-            ok = False
+        ok = ok and lo <= half <= hi and width < 1e-4
     return CriterionResult("partition identity", ok,
                            {"words": n_words, "worst_rel_width": worst_width})
 
@@ -213,51 +206,19 @@ def criterion_path_law(n_paths: int = 10 ** 6) -> CriterionResult:
 @functools.cache
 def _path_batch(scalars, seed: int, alpha: Fraction, n_paths: int,
                 steps: int) -> np.ndarray:
-    """Row i is ``scalars(path i)`` of a frozen dissipative batch; the
-    paths themselves are not kept.  run_all clears this cache, so one run
-    simulates each batch once, in the first criterion that reads it.
-
-    Path 0 runs in the calling thread; paths 1 .. n_paths - 1 go in
-    blocks of ``_PATHS_PER_TASK`` to one thread per usable CPU, each thread
-    taking the next block when it finishes one, so a CPU that the machine
-    slows down takes fewer blocks instead of holding up a fixed share.
-    Each path has its own seeded generator and the rows are joined in path
-    order, so they do not depend on the number of CPUs or on which thread
-    ran a block.  The worker threads must run numpy only: mpmath's
-    precision is one global context, and two threads inside
-    ``mp.workprec`` can compute at the wrong precision and leave
-    ``mp.prec`` changed.  Path 0 fills every cache a path touches (the
-    sampler table, ``measure.zeta``, the envelope thresholds and the
-    ``dim_series`` constants) before the workers start.
-    """
-    # imported here: concurrent.futures loads logging, about 4 ms and 1 MiB
-    # that the CLI commands, which import this module, need not pay
-    from concurrent.futures import ThreadPoolExecutor
-
+    """Row i is ``scalars(path i)`` of a frozen dissipative batch, from
+    ``walks.path_batch``.  run_all clears this cache, so one run simulates
+    each batch once, in the first criterion that reads it."""
     params = walks.WalkParams(kind="dissipative", steps=steps, seed=seed,
                               alpha=alpha)
-
-    def rows(path_ids: range) -> list:
-        return [scalars(walks.simulate_path(params, path_id=i))
-                for i in path_ids]
-
-    first = rows(range(1))
-    rest = range(1, n_paths)
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)  # sched_getaffinity is Linux-only
-    n_workers = max(min(cpus, len(rest)), 1)
-    parts = [rest[i:i + _PATHS_PER_TASK]
-             for i in range(0, len(rest), _PATHS_PER_TASK)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        out = np.array(first + [row for part in pool.map(rows, parts)
-                                for row in part])
+    out = np.array(walks.path_batch(params, n_paths, scalars))
     out.flags.writeable = False  # every reader of the batch shares it
     return out
 
 
 def _returns(path: walks.WalkPath) -> np.ndarray:
-    """Per checkpoint t: does the path visit 0 at some step >= t?"""
-    return walks.suffix_minima(path.states, CHECKPOINTS) == 0
+    """The row from which ``walks.return_fractions`` reads the returns."""
+    return walks.transience_row(path, CHECKPOINTS)
 
 
 def _returns_and_violations(path: walks.WalkPath) -> np.ndarray:
@@ -275,8 +236,8 @@ def criterion_transience() -> CriterionResult:
     """Return fractions decay for alpha = 3/4 and dominate at alpha ~ 1."""
     main = _transience_batch(Fraction(3, 4), _returns_and_violations)
     boundary = _transience_batch(Fraction(999, 1000), _returns)
-    f = [int(k) / TRANSIENCE_PATHS for k in main[:, :-1].sum(axis=0)]
-    g = [int(k) / TRANSIENCE_PATHS for k in boundary.sum(axis=0)]
+    f = walks.return_fractions(main, len(CHECKPOINTS))
+    g = walks.return_fractions(boundary, len(CHECKPOINTS))
     ok = all(f[i + 1] <= f[i] for i in range(len(f) - 1))
     ok = ok and f[-1] < 0.2
     ok = ok and all(gb > fa for gb, fa in zip(g, f))
@@ -419,8 +380,8 @@ ALL_CRITERIA = [
 def run_all(quick: bool = False) -> list[CriterionResult]:
     """Run the verification suite; quick mode shrinks the Monte Carlo sizes.
 
-    Every call simulates its path batches afresh, each batch once, on one
-    thread per usable CPU; the results are the same at any CPU count.
+    Every call simulates its path batches afresh, each batch once, through
+    ``walks.path_batch``; the results are the same at any CPU count.
     """
     _path_batch.cache_clear()
     if not quick:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorwalk import walks
+from cantorwalk import geometry, walks
 from cantorwalk.cli import main
 from cantorwalk.coding import AdmissibleWord
 from cantorwalk.geometry import cylinder_interval, hole
@@ -308,6 +308,64 @@ def test_csv_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
+# sha256 of stdout of the transience summary, recorded while it still
+# looped over the paths itself
+SUMMARY = ("walk", "--kind", "dissipative", "--steps", "2000",
+           "--paths", "40")
+SUMMARY_PINS = [
+    (SUMMARY + ("--alpha", "3/5", "--seed", "21",
+                "--checkpoints", "10,100,1000"),
+     "56fdf3acf23de6c57d230923f4e4cc89e9b05bb5d97eef2fa313eddf140286f2"),
+    (SUMMARY + ("--alpha", "3/4", "--seed", "21",
+                "--checkpoints", "10,100,1000"),
+     "deba3447a69f0c0a1852915818b631d9832bca5eee485fdc4e4872b5e1c9a72b"),
+    (SUMMARY + ("--alpha", "9/10", "--seed", "21",
+                "--checkpoints", "10,100,1000"),
+     "700fbcb30049f2b88402b769507c4b83ac3490b64dfa25cf1f486566ccdd33af"),
+    (SUMMARY + ("--alpha", "3/4", "--seed", "22",
+                "--checkpoints", "1000,10,1000,0"),  # repeated checkpoint
+     "9dcb81b80d3085c7f1e20ff424b10749bc4e794c94a0b8ded92e343fc7abc283"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SUMMARY_PINS, ids=[
+    "3/5", "3/4", "9/10", "repeated-checkpoint"])
+def test_transience_summary_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# one batch per command that simulates paths, with the sha256 of its
+# stdout recorded before the commands shared walks.path_batch
+POOLED_PINS = [
+    (("walk", "--kind", "dissipative", "--alpha", "3/5", "--steps", "300",
+      "--paths", "20", "--seed", "23"),
+     "c612dfc0aec18978e716c6df6ed9be30c8f2c7681b14a2f764162b11025f7b42"),
+    (("dim", "--alpha", "9/10", "--depth", "300", "--paths", "20",
+      "--seed", "24", "--rows-per-path", "7"),
+     "c2957efab47f1c7f1392e9d493ebe248e9cb2184bb60eec78480316e8b240380"),
+    (("walk", "--kind", "dissipative", "--alpha", "3/4", "--steps", "300",
+      "--paths", "20", "--seed", "25", "--checkpoints", "5,50,250"),
+     "65508a709ba7e0d48790caf262ac849c0c96a95de358210af23175b3e6227106"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", POOLED_PINS,
+                         ids=["walk", "dim", "checkpoints"])
+def test_pooled_batches_print_the_serial_bytes(capsys, monkeypatch, argv,
+                                               digest):
+    code, serial, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(serial.encode()).hexdigest() == digest
+    # the short paths take the threaded branch, on two CPUs
+    monkeypatch.setattr(walks, "_POOL_MIN_STEPS", 0)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    code, threaded, err = run(capsys, *argv)
+    assert code == 0 and err == "" and threaded == serial
+
+
 # sha256 of stdout, recorded before the exact layers were memoised; the
 # word has left-block steps (0->3, 0->5) and right-block steps (3->2, 2->2,
 # 2->0, 5->1)
@@ -355,6 +413,31 @@ def test_intervals_prints_coefficients_past_the_digit_limit(capsys):
     digits = max(c.bit_length() for _, *cs in geom.left.to_json()
                  for c in cs) * math.log10(2)
     assert digits > 4300
+
+
+def test_intervals_of_one_then_n_sum_each_inverse_square_once(capsys,
+                                                             monkeypatch):
+    # I_{1,N} reads H2(N - 2) and its hole H2(N): one binary-splitting sum
+    # up to N - 2, extended by the two missing terms, where both were summed
+    # from the cap (9950 terms for N = 6000)
+    monkeypatch.setattr(geometry, "_H2_LAST", [0, Fraction(0)])
+    split = geometry._inverse_square_sum
+    sums, depth = [], [0]
+
+    def outermost(a, b):
+        if not depth[0]:
+            sums.append((a, b))
+        depth[0] += 1
+        try:
+            return split(a, b)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(geometry, "_inverse_square_sum", outermost)
+    code, _, _ = run(capsys, "intervals", "--word", "1,6000")
+    cap = geometry._H2_CAP
+    assert code == 0
+    assert sums == [(cap + 1, 5999), (5999, 6001)]
 
 
 def test_walk_error_leaves_no_output(tmp_path, capsys, monkeypatch):

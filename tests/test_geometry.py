@@ -289,6 +289,18 @@ def test_cylinder_interval_matches_rebuild_oracle():
         assert (g.left, g.length_coeff, g.depth) == rebuilt_interval(w)
 
 
+def test_cylinder_length_is_the_product_of_inverse_squared_steps():
+    # rebuilt_interval multiplies 1/d^2 with d written out by cases
+    rng = np.random.default_rng(77)
+    words = oracle_words() + [random_word(rng, int(rng.integers(1, 40)),
+                                          max_jump=int(rng.integers(1, 50)))
+                              for _ in range(200)]
+    for w in words:
+        _, r, n = rebuilt_interval(w)
+        assert cylinder_length(w) == (r, n) == (
+            cylinder_interval(w).length_coeff, w.depth)
+
+
 def test_hole_method_matches_wrapper_and_oracle():
     for w in oracle_words()[::3]:
         h = cylinder_interval(w).hole()
@@ -358,3 +370,12 @@ def test_h2_past_the_cap_equals_the_one_at_a_time_sum(t):
     # the tail past the memo cap is summed by binary splitting
     assert geometry._h2(t) == summed_h2(t)
     assert len(geometry._H2_PREFIX) == geometry._H2_CAP + 1
+
+
+def test_h2_past_the_cap_in_any_order(monkeypatch):
+    # the one-entry memo past the cap is extended forward, and restarted
+    # from the cap for a smaller t
+    monkeypatch.setattr(geometry, "_H2_LAST", [0, Fraction(0)])
+    for t in (3000, 3000, 2000, 3001, 1025, 1030, 1024, 2500):
+        assert geometry._h2(t) == summed_h2(t)
+

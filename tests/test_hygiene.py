@@ -1,6 +1,6 @@
 """Every module under src/cantorwalk uses every name it imports, every
-CLI option is read by its subcommand, and every exported name is used
-outside the tests.
+CLI option is read by its subcommand, every exported name is used outside
+the tests, and one function simulates path batches.
 
 A stdlib-only stand-in for a linter's unused-import rule: a name counts as
 used when it is loaded anywhere in the module (annotations included) or,
@@ -85,3 +85,42 @@ def test_every_exported_name_is_used():
                   and isinstance(node.ctx, ast.Load)):
                 used.add(node.attr)
     assert sorted(set(cantorwalk.__all__) - used) == []
+
+
+def batch_engines(sources: dict[str, str]) -> tuple[set, set]:
+    """The top-level functions that call ``simulate_path``, as
+    (module, name), and the modules that import ``concurrent.futures``."""
+    callers, pools = set(), set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name == "simulate_path":
+                        callers.add((module, getattr(top, "name", None)))
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(n.split(".")[0] == "concurrent" for n in names):
+                    pools.add(module)
+    return callers, pools
+
+
+def test_one_function_simulates_path_batches():
+    # walks.path_batch is the only loop over paths and the only thread pool
+    callers, pools = batch_engines(
+        {p.stem: p.read_text() for p in SRC.glob("*.py")})
+    assert callers == {("walks", "path_batch")}
+    assert pools == {"walks"}
+
+
+def test_engine_check_flags_a_second_loop():
+    source = ("from concurrent.futures import ThreadPoolExecutor\n"
+              "def run(params, n):\n"
+              "    return [simulate_path(params, i) for i in range(n)]\n"
+              "import concurrent\n")
+    assert batch_engines({"cli": source}) == ({("cli", "run")}, {"cli"})

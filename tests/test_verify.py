@@ -1,7 +1,8 @@
 """Structure of the verification suite: criterion metadata, the rule that
-one run simulates each frozen path batch exactly once, the threaded
-batches, which must equal a serial loop at any CPU count, and the memory
-that the one-shot Monte Carlo criteria hold."""
+one run simulates each frozen path batch exactly once, the batch engine
+``walks.path_batch`` on the suite's rows, whose threaded branch must equal
+a serial loop at any CPU count, and the memory that the one-shot Monte
+Carlo criteria hold."""
 import collections
 import os
 import sys
@@ -64,15 +65,28 @@ def shrink(monkeypatch):  # criterion constants that fit paths of 300 steps
         monkeypatch.setattr(verify, name, value)
 
 
+def pooled(monkeypatch):  # the short test batches take the threaded branch
+    monkeypatch.setattr(walks, "_POOL_MIN_STEPS", 0)
+
+
 def same(a, b):  # bit for bit
     return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
+def batch_params(seed, alpha, steps):
+    return walks.WalkParams(kind="dissipative", steps=steps, seed=seed,
+                            alpha=alpha)
+
+
 def serial_rows(scalars, seed, alpha, n_paths, steps):
-    params = walks.WalkParams(kind="dissipative", steps=steps, seed=seed,
-                              alpha=alpha)
+    params = batch_params(seed, alpha, steps)
     return np.array([scalars(walks.simulate_path(params, path_id=i))
                      for i in range(n_paths)])
+
+
+def engine_rows(scalars, seed, alpha, n_paths, steps):
+    params = batch_params(seed, alpha, steps)
+    return np.array(walks.path_batch(params, n_paths, scalars))
 
 
 @pytest.mark.parametrize("scalars", [verify._returns,
@@ -82,7 +96,14 @@ def serial_rows(scalars, seed, alpha, n_paths, steps):
 def test_path_batch_rows_match_serial_at_any_cpu_count(monkeypatch,
                                                        scalars):
     shrink(monkeypatch)
+    pooled(monkeypatch)
     expected = serial_rows(scalars, *BATCH)
+    threads = set()
+
+    def recorded(path):
+        threads.add(threading.get_ident())
+        return scalars(path)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
@@ -90,6 +111,9 @@ def test_path_batch_rows_match_serial_at_any_cpu_count(monkeypatch,
             monkeypatch.setattr(os, "sched_getaffinity",  # Linux-only
                                 lambda pid, n=cpus: set(range(n)),
                                 raising=False)
+            threads.clear()
+            assert same(engine_rows(recorded, *BATCH), expected)
+            assert (len(threads) > 1) == (cpus > 1)  # one CPU: no pool
             rows = verify._path_batch.__wrapped__(scalars, *BATCH)
             assert same(rows, expected) and not rows.flags.writeable
     finally:
@@ -98,11 +122,16 @@ def test_path_batch_rows_match_serial_at_any_cpu_count(monkeypatch,
 
 def test_path_batch_of_one_path(monkeypatch):
     shrink(monkeypatch)
-    rows = verify._path_batch.__wrapped__(verify._returns, *BATCH[:2], 1, 300)
+    pooled(monkeypatch)
+    rows = engine_rows(verify._returns, *BATCH[:2], 1, 300)
     assert same(rows, serial_rows(verify._returns, *BATCH[:2], 1, 300))
 
 
-def test_worker_exception_propagates():
+def test_worker_exception_propagates(monkeypatch):
+    pooled(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
     def failing(path):
         # every path but path 0, which runs in the calling thread
         if threading.current_thread() is not threading.main_thread():
@@ -110,11 +139,12 @@ def test_worker_exception_propagates():
         return path.states[-1]
 
     with pytest.raises(RuntimeError, match="scalars failed"):
-        verify._path_batch.__wrapped__(failing, *BATCH)
+        engine_rows(failing, *BATCH)
 
 
 def test_dimension_batch_keeps_mpmath_precision(monkeypatch):
     shrink(monkeypatch)
+    pooled(monkeypatch)
     monkeypatch.setattr(verify, "DIMENSION_PATHS", 5)
     monkeypatch.setattr(verify, "DIMENSION_DEPTH", 300)
     verify._path_batch.cache_clear()
@@ -127,11 +157,12 @@ def test_dimension_batch_keeps_mpmath_precision(monkeypatch):
 def test_path_batch_without_sched_getaffinity(monkeypatch):
     # os.sched_getaffinity exists only on Linux; elsewhere os.cpu_count
     shrink(monkeypatch)
+    pooled(monkeypatch)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     expected = serial_rows(verify._returns, *BATCH)
     for cpu_count in (os.cpu_count, lambda: None):  # None: count unknown
         monkeypatch.setattr(os, "cpu_count", cpu_count)
-        rows = verify._path_batch.__wrapped__(verify._returns, *BATCH)
+        rows = engine_rows(verify._returns, *BATCH)
         assert same(rows, expected)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -11,11 +12,13 @@ from cantorwalk.walks import (
     _CHUNK,
     TABLE_SIZE,
     WalkParams,
+    TransienceReport,
     ZetaJumpSampler,
     _kernel_pair,
     folded_kernel_identity,
     gamma_envelope_violations,
     increment_tail_prob,
+    path_batch,
     path_rng,
     simulate_path,
     transience_stats,
@@ -443,3 +446,69 @@ def test_transience_stats_shape_and_trend():
     for n_paths, cps in ((0, [10]), (5, [-1]), (5, [2000])):
         with pytest.raises(ValueError):
             transience_stats(params, n_paths, cps)
+
+
+def transience_oracle(params, n_paths, checkpoints, thresholds=(1, 10, 100)):
+    """The per-path loop that ``transience_stats`` ran before it reduced
+    ``path_batch`` rows, with each suffix minimum scanned on its own."""
+    checkpoints = sorted({int(t) for t in checkpoints})
+    returns = {t: 0 for t in checkpoints}
+    escapes = {t: {thr: 0 for thr in thresholds} for t in checkpoints}
+    states_at = {t: np.empty(n_paths) for t in checkpoints}
+    for i in range(n_paths):
+        s = simulate_path(params, path_id=i).states
+        for t, m in zip(checkpoints, [s[t:].min() for t in checkpoints]):
+            if m == 0:
+                returns[t] += 1
+            for thr in thresholds:
+                if m >= thr:
+                    escapes[t][thr] += 1
+            states_at[t][i] = s[t]
+    quant = {
+        t: {p: float(np.quantile(states_at[t], float(p[1:]) / 100))
+            for p in ("q05", "q25", "q50", "q75", "q95")}
+        for t in checkpoints
+    }
+    return TransienceReport(
+        return_fraction={t: returns[t] / n_paths for t in checkpoints},
+        escape_fraction={t: {thr: escapes[t][thr] / n_paths
+                             for thr in thresholds} for t in checkpoints},
+        state_quantiles=quant,
+        seeds={"seed": params.seed, "path_ids": [0, n_paths - 1]},
+    )
+
+
+@pytest.mark.parametrize("alpha", [Fraction(51, 100), Fraction(3, 5),
+                                   Fraction(3, 4), Fraction(9, 10),
+                                   Fraction(1)], ids=str)
+@pytest.mark.parametrize("checkpoints,thresholds", [
+    ([10, 100, 1000], (1, 10, 100)),
+    ([1999, 0, 1999, 5], (1, 10, 100)),  # repeated, 0 and steps - 1
+    ([1], (2, 1000, 10 ** 6)),
+    ([], (1,)),
+], ids=["decades", "unsorted", "one", "none"])
+def test_transience_stats_equals_the_per_path_loop(alpha, checkpoints,
+                                                   thresholds):
+    params = WalkParams(kind="dissipative", steps=2000, seed=31,
+                        alpha=alpha)
+    rep = transience_stats(params, 37, checkpoints, thresholds)
+    assert rep == transience_oracle(params, 37, checkpoints, thresholds)
+
+
+@pytest.mark.parametrize("steps,pooled", [(500, False), (30_000, True)])
+def test_path_batch_pools_only_long_paths(monkeypatch, steps, pooled):
+    # rows come from worker threads only when the paths are long enough
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    params = WalkParams(kind="dissipative", steps=steps, seed=5,
+                        alpha=Fraction(3, 4))
+    threads = set()
+
+    def row(path):
+        threads.add(threading.get_ident())
+        return path.path_id, float(path.states[-1])
+
+    rows = path_batch(params, 11, row)
+    assert rows == [(i, float(simulate_path(params, i).states[-1]))
+                    for i in range(11)]
+    assert (threads != {threading.get_ident()}) == pooled
