@@ -18,9 +18,11 @@ on its own.
 """
 from __future__ import annotations
 
+import collections
 import copy
 import functools
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,18 +36,39 @@ from .geometry import _to_mpf
 TABLE_SIZE = 1 << 16  # inverse-CDF table covers |jump| <= 2^16
 _GUIDE_SIZE = 1 << 16  # guide buckets; a power of two, so u * size is exact
 _CHUNK = 1 << 16       # draws looked up at once, to bound the temporaries
-_PATHS_PER_TASK = 8    # paths a batch thread simulates per task
-# batches of paths this long or longer run on one thread per usable CPU: on
-# two cores, 10^4-step paths ran faster serially, 2 * 10^4 faster threaded
-_POOL_MIN_STEPS = 2 * 10 ** 4
+# a batch simulates as many paths at once as fit in this many steps, and at
+# least one, so a path of 10^5 steps is a block of its own
+_BLOCK_STEPS = 1 << 16
 
 _SAMPLER_CACHE: dict[str, "ZetaJumpSampler"] = {}
+_SCRATCH = threading.local()
 
 
 def path_rng(seed: int, path_id: int) -> np.random.Generator:
     """Independent, replayable generator for one path."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(int(path_id),)))
+
+
+def _scratch(name: str, size: int, dtype=np.float64) -> np.ndarray:
+    """This thread's work array ``name``, cut to ``size``: allocated once
+    per thread at _BLOCK_STEPS entries, and fresh past that size."""
+    if size > _BLOCK_STEPS:
+        return np.empty(size, dtype)
+    buf = getattr(_SCRATCH, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(_BLOCK_STEPS, dtype)
+        setattr(_SCRATCH, name, buf)
+    return buf[:size]
+
+
+def _draw_uniforms(rngs, counts, out: np.ndarray) -> None:
+    """Fill ``out`` with counts[i] uniforms from rngs[i], in order."""
+    lo = 0
+    for rng, n in zip(rngs, counts):
+        if n:
+            rng.random(out=out[lo:lo + n])
+            lo += n
 
 
 class ZetaJumpSampler:
@@ -56,11 +79,11 @@ class ZetaJumpSampler:
     discrete tail law is exact (up to float64 rounding of the table).
 
     The table index of a uniform u is ``searchsorted(cum, u)``, found
-    through a guide table (Chen & Asau's indexed search): ``guide[b]`` is
-    the index of b / _GUIDE_SIZE, so one comparison settles a u whose
-    bucket holds at most one table boundary, and ``searchsorted`` is kept
-    for the few ``wide`` buckets.  The index, and so the random stream, is
-    that of a plain ``searchsorted``.
+    through a guide table (Chen & Asau's indexed search): u lies in bucket
+    b = floor(u * _GUIDE_SIZE), whose index is ``guide[b]`` plus one if
+    ``cum[guide[b]] < u``, unless the bucket holds more than one table
+    boundary (``wide``); ``searchsorted`` is kept for those few.  The
+    index, and so the random stream, is that of a plain ``searchsorted``.
     """
 
     def __init__(self, beta):
@@ -75,7 +98,7 @@ class ZetaJumpSampler:
         # the +inf sentinel sends u past the last entry to index TABLE_SIZE
         self.cum = np.append(np.cumsum(pmf), np.inf)
         edges = np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE
-        self.guide = np.searchsorted(self.cum, edges).astype(np.int32)
+        self.guide = np.searchsorted(self.cum, edges)
         self.wide = np.diff(self.guide) > 1
 
     @classmethod
@@ -87,99 +110,111 @@ class ZetaJumpSampler:
             _SAMPLER_CACHE[key] = s
         return s
 
-    def _sample_tail(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Magnitudes > TABLE_SIZE, exact accept/reject on the integer law.
+    def _sample_tail(self, rngs, sizes) -> np.ndarray:
+        """Magnitudes > TABLE_SIZE, exact accept/reject on the integer law:
+        sizes[i] of them from rngs[i], concatenated in generator order.
 
-        Each round computes the proposals j, the envelope and the
-        acceptance ratio in the three rows of one reused work array, with
-        the same float operations, in the same order, as the plain
-        expressions in the comments.
+        Each round, every generator that still needs k magnitudes draws k
+        proposal uniforms, and after all proposals k acceptance uniforms:
+        what it would draw alone.  The proposals j, the envelope and the
+        acceptance ratio of all generators are computed in the three rows
+        of one reused work array, with the same float operations, in the
+        same order, as the plain expressions in the comments.  A NaN ratio
+        (0 / 0 far out in the tail) rejects, as u < 0 would.
         """
         b = self.beta_f
-        out = np.empty(size)
-        need = np.arange(size)
-        work = np.empty((3, size))
-        while need.size:
-            j, env, ratio = work[:, :need.size]
-            # j = floor(TABLE_SIZE * (1 - u) ** (-1 / (b - 1))) + 1, proposal
-            # pmf prop. to int_{j-1}^{j} x^-b
-            rng.random(out=j)
-            np.subtract(1.0, j, out=j)
-            j **= -1.0 / (b - 1.0)  # dispatches as ** does, not as np.power
-            j *= float(TABLE_SIZE)
-            np.floor(j, out=j)
-            j += 1.0
-            # env = (j-1)^(1-b) - j^(1-b), in the cancellation-safe form
-            # j ** (1 - b) * expm1((1 - b) * log1p(-1 / j)) / (b - 1)
-            np.divide(-1.0, j, out=env)
-            np.log1p(env, out=env)
-            env *= 1.0 - b
-            np.expm1(env, out=env)
-            ratio[:] = j
-            ratio **= 1.0 - b
-            np.multiply(ratio, env, out=env)
-            env /= b - 1.0
-            ratio[:] = j
-            ratio **= -b
-            with np.errstate(divide="ignore", invalid="ignore"):
+        # out[bounds[i]:bounds[i + 1]] are rngs[i]'s magnitudes, and need
+        # the indices of out still to accept, in order
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        out = np.empty(bounds[-1])
+        need = np.arange(bounds[-1])
+        work = np.empty((3, bounds[-1]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while need.size:
+                counts = np.diff(np.searchsorted(need, bounds)).tolist()
+                j, env, ratio = work[:, :need.size]
+                # j = floor(TABLE_SIZE * (1 - u) ** (-1 / (b - 1))) + 1,
+                # proposal pmf prop. to int_{j-1}^{j} x^-b
+                _draw_uniforms(rngs, counts, j)
+                np.subtract(1.0, j, out=j)
+                j **= -1.0 / (b - 1.0)  # dispatches as ** does, not np.power
+                j *= float(TABLE_SIZE)
+                np.floor(j, out=j)
+                j += 1.0
+                # env = (j-1)^(1-b) - j^(1-b), in the cancellation-safe form
+                # j ** (1 - b) * expm1((1 - b) * log1p(-1 / j)) / (b - 1)
+                np.divide(-1.0, j, out=env)
+                np.log1p(env, out=env)
+                env *= 1.0 - b
+                np.expm1(env, out=env)
+                ratio[:] = j
+                ratio **= 1.0 - b
+                np.multiply(ratio, env, out=env)
+                env /= b - 1.0
+                ratio[:] = j
+                ratio **= -b
                 ratio /= env  # j ** -b / env
-            np.nan_to_num(ratio, copy=False, nan=0.0)
-            accept = rng.random(out=env) < ratio
-            out[need[accept]] = j[accept]
-            need = need[~accept]
+                _draw_uniforms(rngs, counts, env)
+                accept = env < ratio
+                out[need[accept]] = j[accept]
+                need = need[~accept]
         return out
 
-    def _table_index(self, u: np.ndarray) -> np.ndarray:
-        """``searchsorted(self.cum, u)`` for u in [0, 1), by guide table.
-
-        u lies in [b, b + 1) / _GUIDE_SIZE, so its index lies in
-        [guide[b], guide[b + 1]]: one comparison decides it unless the
-        bucket is wide.
-        """
-        b = (u * _GUIDE_SIZE).astype(np.intp)
-        g = self.guide[b]
-        idx = g + (self.cum[g] < u)
-        wide = np.flatnonzero(self.wide[b])
-        if wide.size:
-            idx[wide] = np.searchsorted(self.cum, u[wide])
-        return idx
-
     def _lookup(self, u: np.ndarray) -> None:
-        """Overwrite the uniforms ``u`` (at most _CHUNK of them) in place
-        with their table magnitudes; TABLE_SIZE + 1 marks a tail draw."""
-        np.add(self._table_index(u), 1, out=u)
+        """Overwrite the uniforms ``u`` in place, _CHUNK at a time, with
+        their table magnitudes ``searchsorted(cum, u) + 1``; TABLE_SIZE + 1
+        marks a tail draw.  Each step is one numpy call into this thread's
+        buffers (``take``, not a fancy index), so it releases the GIL."""
+        for lo in range(0, u.size, _CHUNK):
+            x = u[lo:lo + _CHUNK]
+            index = _scratch("index", x.size, np.intp)
+            entry = _scratch("entry", x.size)
+            flag = _scratch("flag", x.size, bool)
+            # the bucket; the float-to-int cast truncates, as astype does
+            np.multiply(x, _GUIDE_SIZE, out=index, casting="unsafe")
+            wide = self.wide.take(index, out=flag, mode="clip").nonzero()[0]
+            self.guide.take(index, out=index, mode="clip")
+            self.cum.take(index, out=entry, mode="clip")
+            index += np.less(entry, x, out=flag)
+            if wide.size:
+                index[wide] = self.cum.searchsorted(x[wide])
+            np.add(index, 1, out=x)
+
+    def _magnitudes(self, rngs, u: np.ndarray) -> None:
+        """Overwrite the uniforms ``u``, whose row i came from rngs[i], in
+        place with their magnitudes: the table lookup over all of them,
+        then each row's tail draws (index TABLE_SIZE), in index order, from
+        its own generator.  ``u`` is C-contiguous."""
+        flat = u.reshape(-1)
+        self._lookup(flat)
+        tail = (flat > TABLE_SIZE).nonzero()[0]
+        if tail.size:
+            flat[tail] = self._sample_tail(rngs, np.bincount(
+                tail // u.shape[1], minlength=len(rngs)))
 
     @staticmethod
     def _apply_signs(rng: np.random.Generator, x: np.ndarray) -> None:
-        """Multiply ``x`` in place by one fair sign per entry, drawn with one
-        ``rng.integers(0, 2)`` call per _CHUNK.  PCG64 keeps its spare
-        32-bit half in the bit generator, so chunked calls, here or across
-        calls, draw the same stream as one call over all entries."""
+        """Give ``x`` (positive magnitudes) one fair sign per entry, in
+        place, from one ``rng.integers(-1, 1)`` call per _CHUNK: -1 makes
+        it negative and 0 keeps it.  These are the draws of
+        ``rng.integers(0, 2)`` less one (int32 or int64 alike), so a sign is
+        the factor 2 * bit - 1 of that draw.  PCG64 keeps its spare 32-bit
+        half in the bit generator, so chunked calls, here or across calls,
+        draw the same stream as one call over all entries."""
         for lo in range(0, x.size, _CHUNK):
             chunk = x[lo:lo + _CHUNK]
-            sign = rng.integers(0, 2, size=chunk.size)
-            sign *= 2
-            sign -= 1
-            chunk *= sign
+            sign = rng.integers(-1, 1, size=chunk.size, dtype=np.int32)
+            np.copysign(chunk, sign, out=chunk)
 
     def sample_abs(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vector of jump magnitudes (float64 holding exact integers).
 
-        Draws all ``size`` uniforms, overwrites each _CHUNK of them in
-        place with its table magnitudes, then draws the tail magnitudes
-        (table index TABLE_SIZE) in index order in one ``_sample_tail``
-        call: the stream of one lookup over all draws, in O(_CHUNK) memory
-        besides the result and the tail draws.
+        Draws all ``size`` uniforms, overwrites them in place with their
+        table magnitudes, then draws the tail magnitudes in index order:
+        O(_CHUNK) memory besides the result and the tail draws.
         """
         out = rng.random(size)
-        tails = [np.empty(0, np.intp)]
-        for lo in range(0, size, _CHUNK):
-            chunk = out[lo:lo + _CHUNK]
-            self._lookup(chunk)
-            tails.append(np.flatnonzero(chunk > TABLE_SIZE) + lo)
-        tail = np.concatenate(tails)
-        if tail.size:
-            out[tail] = self._sample_tail(rng, tail.size)
+        self._magnitudes([rng], out.reshape(1, -1))
         return out
 
     def sample_signed(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -207,12 +242,11 @@ class ZetaJumpSampler:
         for lo in range(0, size, block):
             u = rng.random(min(block, size - lo))
             n_tail += int(np.count_nonzero(u > last))
-        tail_mags = self._sample_tail(rng, n_tail)
+        tail_mags = self._sample_tail([rng], [n_tail])
         t = 0
         for lo in range(0, size, block):
             out = replay.random(min(block, size - lo))
-            for c in range(0, out.size, _CHUNK):
-                self._lookup(out[c:c + _CHUNK])
+            self._lookup(out)
             tail = np.flatnonzero(out > TABLE_SIZE)
             out[tail] = tail_mags[t:t + tail.size]
             t += tail.size
@@ -256,53 +290,89 @@ class WalkParams:
 class WalkPath:
     """Path ``path_id`` of a walk: states[0] = 0 and len(states) = steps + 1.
 
-    States are float64 holding exact integers; heavy-tailed jumps can
-    exceed int64.  A path holds this one array: the running sums of the
-    signed jumps are written into ``states`` and folded there in place,
-    and the jumps are dropped when ``simulate_path`` returns.
+    States are float64, exact integers only up to 2^53: past that the
+    running sums round, and heavy-tailed walks get there (all 40 paths of
+    10^4 steps at alpha = 3/5 in ROADMAP item 1's table do; that item is
+    the fix).  The states may be a row of the block of paths simulated
+    with this one.
     """
 
     states: np.ndarray
     path_id: int = 0
 
 
-def simulate_path(params: WalkParams, path_id: int = 0) -> WalkPath:
-    """Simulate one path, reproducible from (params.seed, path_id)."""
-    rng = path_rng(params.seed, path_id)
-    jumps = ZetaJumpSampler.cached(params.beta).sample_signed(rng, params.steps)
-    states = np.zeros(params.steps + 1)
-    np.cumsum(jumps, out=states[1:])
+def _simulate_block(params: WalkParams, path_ids) -> np.ndarray:
+    """The states of paths ``path_ids``, one row each, as one
+    (paths, steps + 1) array; row i is the path that its own generator
+    gives alone.
+
+    Each generator draws its uniforms into its row of the block's jumps;
+    one table lookup runs over the block, the tail sampler then draws
+    every row's tail magnitudes from that row's generator, and each
+    generator draws its row's signs: per path, the draws of
+    ``sample_signed``, in its order.  The running sums go row by row into
+    the states: a ``cumsum`` along the rows of a 2-D array, or in place,
+    holds the GIL, and one from a 1-D row into another array releases it.
+    """
+    sampler = ZetaJumpSampler.cached(params.beta)
+    rngs = [path_rng(params.seed, i) for i in path_ids]
+    jumps = _scratch("jumps", len(rngs) * params.steps).reshape(len(rngs), -1)
+    for rng, row in zip(rngs, jumps):
+        rng.random(out=row)
+    sampler._magnitudes(rngs, jumps)
+    states = np.empty((len(rngs), params.steps + 1))
+    states[:, 0] = 0.0
+    for rng, row, out in zip(rngs, jumps, states):
+        sampler._apply_signs(rng, row)
+        np.cumsum(row, out=out[1:])
     if params.kind != "cauchy_Z":
         np.abs(states, out=states)
-    return WalkPath(states, path_id)
+    return states
+
+
+def simulate_path(params: WalkParams, path_id: int = 0) -> WalkPath:
+    """Simulate one path, reproducible from (params.seed, path_id)."""
+    return WalkPath(_simulate_block(params, [path_id])[0], path_id)
 
 
 def path_batch(params: WalkParams, n_paths: int, row) -> list:
     """``[row(simulate_path(params, i)) for i in range(n_paths)]``, the one
-    way to simulate a batch.  Path 0 runs in the calling thread; if paths
-    have ``_POOL_MIN_STEPS`` steps or more, the rest go in blocks of
-    ``_PATHS_PER_TASK`` to one thread per usable CPU, each taking the next
-    block when it finishes one.  Per-path generators and rows in path
-    order make the rows independent of the CPU count.  Worker threads must
-    run numpy only (mpmath's precision is one global context), so ``row``
-    of path 0 fills every cache a row reads (sampler, zeta, envelope, dim
-    constants).
-    """
-    def rows(path_ids: range) -> list:
-        return [row(simulate_path(params, i)) for i in path_ids]
+    way to simulate a batch.
 
-    first = rows(range(1))
-    rest = range(1, n_paths)
+    Paths are simulated in blocks of as many as fit in _BLOCK_STEPS steps
+    (at least one), each block by numpy calls over all its paths, which
+    release the GIL.  With more than one block and more than one usable
+    CPU, the blocks go in order to one worker thread per CPU, each taking
+    the next block when it is free, at most 2 * CPUs blocks ahead of the
+    rows; ``row`` runs in the calling thread, in path order, as the blocks
+    are done.  So the rows depend neither on the blocks nor on the CPU
+    count, the states held stay bounded however slow ``row`` is, and the
+    workers run numpy only (mpmath's precision is one global context).
+    """
+    per = max(1, _BLOCK_STEPS // params.steps)
+    blocks = [range(lo, min(lo + per, n_paths))
+              for lo in range(0, n_paths, per)]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # sched_getaffinity is Linux-only
-    n_workers = min(cpus, len(rest))
-    if params.steps < _POOL_MIN_STEPS or n_workers < 2:
-        return first + rows(rest)
+
+    def rows(ids, states) -> list:
+        return [row(WalkPath(s, i)) for s, i in zip(states, ids)]
+
+    if len(blocks) < 2 or cpus < 2:
+        return [r for ids in blocks for r in rows(ids, _simulate_block(
+            params, ids))]
     from concurrent.futures import ThreadPoolExecutor  # lazy: 4 ms, 1 MiB
-    parts = [rest[i:i + _PATHS_PER_TASK]
-             for i in range(0, len(rest), _PATHS_PER_TASK)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return first + [r for part in pool.map(rows, parts) for r in part]
+    ZetaJumpSampler.cached(params.beta)  # mpmath, in the calling thread
+    out, ahead = [], collections.deque()
+    with ThreadPoolExecutor(max_workers=cpus) as pool:
+        for ids in blocks:
+            ahead.append((ids, pool.submit(_simulate_block, params, ids)))
+            if len(ahead) > 2 * cpus:
+                done, future = ahead.popleft()
+                out += rows(done, future.result())
+        for done, future in ahead:
+            out += rows(done, future.result())
+    return out
 
 
 def _kernel_pair(beta: Fraction, precision: int):

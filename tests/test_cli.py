@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -358,8 +357,8 @@ def test_pooled_batches_print_the_serial_bytes(capsys, monkeypatch, argv,
     code, serial, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(serial.encode()).hexdigest() == digest
-    # the short paths take the threaded branch, on two CPUs
-    monkeypatch.setattr(walks, "_POOL_MIN_STEPS", 0)
+    # blocks of two short paths take the threaded branch, on two CPUs
+    monkeypatch.setattr(walks, "_BLOCK_STEPS", 600)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     code, threaded, err = run(capsys, *argv)
@@ -441,17 +440,15 @@ def test_intervals_of_one_then_n_sum_each_inverse_square_once(capsys,
 
 
 def test_walk_error_leaves_no_output(tmp_path, capsys, monkeypatch):
-    simulate = walks.simulate_path
+    simulate = walks._simulate_block
 
-    def inf_in_path_1(params, path_id=0):
-        path = simulate(params, path_id)
-        if path_id == 1:
-            states = path.states.copy()
-            states[-1] = np.inf
-            path = dataclasses.replace(path, states=states)
-        return path
+    def inf_in_path_1(params, path_ids):
+        states = simulate(params, path_ids)
+        if 1 in path_ids:
+            states[path_ids.index(1), -1] = np.inf
+        return states
 
-    monkeypatch.setattr(walks, "simulate_path", inf_in_path_1)
+    monkeypatch.setattr(walks, "_simulate_block", inf_in_path_1)
     code, out, err = run(capsys, *WALK, "--paths", "3")
     assert code == 2 and out == ""
     assert set(json.loads(err)) == {"error", "message"}

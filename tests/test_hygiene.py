@@ -1,6 +1,7 @@
 """Every module under src/cantorwalk uses every name it imports, every
 CLI option is read by its subcommand, every exported name is used outside
-the tests, and one function simulates path batches.
+the tests, one function simulates path batches, and every function the
+bench tracer wraps still exists.
 
 A stdlib-only stand-in for a linter's unused-import rule: a name counts as
 used when it is loaded anywhere in the module (annotations included) or,
@@ -8,6 +9,7 @@ in a package ``__init__``, listed in ``__all__``.
 """
 import argparse
 import ast
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -87,17 +89,21 @@ def test_every_exported_name_is_used():
     assert sorted(set(cantorwalk.__all__) - used) == []
 
 
+SIMULATORS = ("simulate_path", "_simulate_block")
+
+
 def batch_engines(sources: dict[str, str]) -> tuple[set, set]:
-    """The top-level functions that call ``simulate_path``, as
-    (module, name), and the modules that import ``concurrent.futures``."""
+    """The top-level functions that call or pass on ``simulate_path`` or
+    the block simulation, as (module, name), and the modules that import
+    ``concurrent.futures``."""
     callers, pools = set(), set()
     for module, source in sources.items():
         for top in ast.parse(source).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = getattr(func, "id", getattr(func, "attr", None))
-                    if name == "simulate_path":
+                # a call, or a reference handed on (``partial``, ``map``)
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = getattr(node, "id", getattr(node, "attr", None))
+                    if name in SIMULATORS:
                         callers.add((module, getattr(top, "name", None)))
                 if isinstance(node, ast.ImportFrom):
                     names = [node.module or ""]
@@ -111,10 +117,11 @@ def batch_engines(sources: dict[str, str]) -> tuple[set, set]:
 
 
 def test_one_function_simulates_path_batches():
-    # walks.path_batch is the only loop over paths and the only thread pool
+    # walks.path_batch is the only loop over paths and the only thread
+    # pool; simulate_path is a block of one path, called by no other module
     callers, pools = batch_engines(
         {p.stem: p.read_text() for p in SRC.glob("*.py")})
-    assert callers == {("walks", "path_batch")}
+    assert callers == {("walks", "path_batch"), ("walks", "simulate_path")}
     assert pools == {"walks"}
 
 
@@ -124,3 +131,33 @@ def test_engine_check_flags_a_second_loop():
               "    return [simulate_path(params, i) for i in range(n)]\n"
               "import concurrent\n")
     assert batch_engines({"cli": source}) == ({("cli", "run")}, {"cli"})
+    blocks = ("def run(params, n):\n"
+              "    return _simulate_block(params, range(n))\n")
+    assert batch_engines({"dim": blocks}) == ({("dim", "run")}, set())
+    handed = ("def run(params, blocks):\n"
+              "    return map(partial(_simulate_block, params), blocks)\n")
+    assert batch_engines({"dim": handed}) == ({("dim", "run")}, set())
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists():
+    # the bench tracer reads a target it cannot find as 0, silently.  This
+    # checks only that each name exists, not that the work still passes
+    # through it: batches simulate through walks._simulate_block, which
+    # calls neither simulate_path nor sample_abs, so their counters read 0
+    # on a batch
+    tracing = load_tracer()
+    missing = []
+    for module, attr, name, _ in tracing.TARGETS:
+        owner, _, member = attr.rpartition(".")
+        scope = getattr(module, owner, None) if owner else module
+        if scope is None or not callable(vars(scope).get(member)):
+            missing.append(name)
+    assert missing == []

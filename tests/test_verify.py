@@ -1,8 +1,8 @@
 """Structure of the verification suite: criterion metadata, the rule that
 one run simulates each frozen path batch exactly once, the batch engine
 ``walks.path_batch`` on the suite's rows, whose threaded branch must equal
-a serial loop at any CPU count, and the memory that the one-shot Monte
-Carlo criteria hold."""
+a serial loop at any CPU count and make every row in the calling thread,
+and the memory that the one-shot Monte Carlo criteria hold."""
 import collections
 import os
 import sys
@@ -35,13 +35,13 @@ def test_each_path_is_simulated_once_per_run(monkeypatch):
                         ("DIMENSION_N0", 10)):
         monkeypatch.setattr(verify, name, value)
     calls = collections.Counter()
-    simulate = walks.simulate_path
+    simulate = walks._simulate_block
 
-    def counting(params, path_id=0):
-        calls[(params.seed, params.alpha, path_id)] += 1
-        return simulate(params, path_id)
+    def counting(params, path_ids):
+        calls.update((params.seed, params.alpha, i) for i in path_ids)
+        return simulate(params, path_ids)
 
-    monkeypatch.setattr(walks, "simulate_path", counting)
+    monkeypatch.setattr(walks, "_simulate_block", counting)
     verify._path_batch.cache_clear()
     for fn in PATH_CRITERIA:
         fn()
@@ -66,7 +66,7 @@ def shrink(monkeypatch):  # criterion constants that fit paths of 300 steps
 
 
 def pooled(monkeypatch):  # the short test batches take the threaded branch
-    monkeypatch.setattr(walks, "_POOL_MIN_STEPS", 0)
+    monkeypatch.setattr(walks, "_BLOCK_STEPS", 600)  # two 300-step paths
 
 
 def same(a, b):  # bit for bit
@@ -98,12 +98,18 @@ def test_path_batch_rows_match_serial_at_any_cpu_count(monkeypatch,
     shrink(monkeypatch)
     pooled(monkeypatch)
     expected = serial_rows(scalars, *BATCH)
-    threads = set()
+    row_threads, block_threads = set(), set()
+    simulate = walks._simulate_block
 
     def recorded(path):
-        threads.add(threading.get_ident())
+        row_threads.add(threading.get_ident())
         return scalars(path)
 
+    def recorded_block(params, path_ids):
+        block_threads.add(threading.get_ident())
+        return simulate(params, path_ids)
+
+    monkeypatch.setattr(walks, "_simulate_block", recorded_block)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
@@ -111,9 +117,12 @@ def test_path_batch_rows_match_serial_at_any_cpu_count(monkeypatch,
             monkeypatch.setattr(os, "sched_getaffinity",  # Linux-only
                                 lambda pid, n=cpus: set(range(n)),
                                 raising=False)
-            threads.clear()
+            row_threads.clear()
+            block_threads.clear()
             assert same(engine_rows(recorded, *BATCH), expected)
-            assert (len(threads) > 1) == (cpus > 1)  # one CPU: no pool
+            # one CPU: no pool; the rows always run in the calling thread
+            assert (block_threads != {threading.get_ident()}) == (cpus > 1)
+            assert row_threads == {threading.get_ident()}
             rows = verify._path_batch.__wrapped__(scalars, *BATCH)
             assert same(rows, expected) and not rows.flags.writeable
     finally:
@@ -131,15 +140,17 @@ def test_worker_exception_propagates(monkeypatch):
     pooled(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
+    simulate = walks._simulate_block
 
-    def failing(path):
-        # every path but path 0, which runs in the calling thread
+    def failing(params, path_ids):
+        # every block a worker thread simulates
         if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("scalars failed")
-        return path.states[-1]
+            raise RuntimeError("block failed")
+        return simulate(params, path_ids)
 
-    with pytest.raises(RuntimeError, match="scalars failed"):
-        engine_rows(failing, *BATCH)
+    monkeypatch.setattr(walks, "_simulate_block", failing)
+    with pytest.raises(RuntimeError, match="block failed"):
+        engine_rows(lambda path: path.states[-1], *BATCH)
 
 
 def test_dimension_batch_keeps_mpmath_precision(monkeypatch):

@@ -7,8 +7,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from cantorwalk import walks
 from cantorwalk.measure import MeasureParams, transition_prob, zeta
 from cantorwalk.walks import (
+    _BLOCK_STEPS,
     _CHUNK,
     TABLE_SIZE,
     WalkParams,
@@ -82,10 +84,11 @@ def test_guide_lookup_equals_searchsorted(beta):
         cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
         [0.0, (last + 1.0) / 2, np.nextafter(1.0, 0.0)],
     ])
-    idx = sampler._table_index(u)
-    assert np.array_equal(idx, np.searchsorted(cum, u))
+    mags = u.copy()
+    sampler._lookup(mags)
+    assert np.array_equal(mags, np.searchsorted(cum, u) + 1)
     # u above the last entry maps to the tail
-    assert np.all(idx[u > last] == TABLE_SIZE)
+    assert np.all(mags[u > last] == TABLE_SIZE + 1)
     assert np.count_nonzero(u > last) >= 3
 
 
@@ -98,7 +101,7 @@ def test_sample_abs_across_chunks_matches_plain_searchsorted():
     idx = np.searchsorted(sampler.cum[:TABLE_SIZE], rng.random(size))
     want = (idx + 1).astype(np.float64)
     tail = idx >= TABLE_SIZE
-    want[tail] = sampler._sample_tail(rng, int(tail.sum()))
+    want[tail] = sampler._sample_tail([rng], [int(tail.sum())])
     assert np.array_equal(got, want)
 
 
@@ -106,13 +109,11 @@ def oracle_sample_abs(sampler, rng, size):
     """The sampler before it worked in place: all uniforms, a separate
     magnitude array, then the tail draws through a boolean mask."""
     u = rng.random(size)
-    out = np.empty(size)
-    for lo in range(0, size, _CHUNK):
-        out[lo:lo + _CHUNK] = sampler._table_index(u[lo:lo + _CHUNK]) + 1
+    out = np.searchsorted(sampler.cum[:TABLE_SIZE], u) + 1.0
     tail = out > TABLE_SIZE
     ntail = int(np.count_nonzero(tail))
     if ntail:
-        out[tail] = sampler._sample_tail(rng, ntail)
+        out[tail] = sampler._sample_tail([rng], [ntail])
     return out
 
 
@@ -185,7 +186,7 @@ def test_sample_tail_draws_the_oracle_stream(beta):
     sampler = ZetaJumpSampler.cached(beta)
     for size in (1, 1000, 50001):
         rng, ref = path_rng(47, size), path_rng(47, size)
-        assert (sampler._sample_tail(rng, size).tobytes()
+        assert (sampler._sample_tail([rng], [size]).tobytes()
                 == oracle_sample_tail(sampler, ref, size).tobytes())
         assert rng.random() == ref.random()
 
@@ -216,6 +217,94 @@ def test_successive_odd_block_calls_keep_the_stream(beta):
         got = np.concatenate(list(sampler.signed_blocks(rng, size, block)))
         assert got.tobytes() == sampler.sample_signed(ref, size).tobytes()
     assert rng.integers(0, 2 ** 32) == ref.integers(0, 2 ** 32)
+
+
+class Scripted:
+    """A stand-in generator that hands out the given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, size=None, out=None):
+        n = size if out is None else out.size
+        drawn, self.uniforms = self.uniforms[:n], self.uniforms[n:]
+        if out is None:
+            return np.array(drawn)
+        out[:] = drawn
+        return out
+
+
+# u = 0 proposes TABLE_SIZE + 1, whose acceptance ratio lies just below 1;
+# u = 1 - 2^-53 rejects it, and the second proposal is accepted with u = 0
+REJECTED_FIRST = [0.0, np.nextafter(1.0, 0.0), 0.3, 0.0]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("beta", STREAM_BETAS)
+def test_tail_sampler_takes_several_generators(beta):
+    # one accept/reject over several generators draws, from each, what it
+    # draws alone: generators with no tails, one whose first proposal is
+    # rejected, and rounds in which only some generators still draw
+    sampler = ZetaJumpSampler.cached(beta)
+    sizes = [1000, 0, 1, 3, 0, 5000]
+    rngs = [path_rng(61, k) for k in range(len(sizes))]
+    refs = [path_rng(61, k) for k in range(len(sizes))]
+    rngs[2], refs[2] = Scripted(REJECTED_FIRST), Scripted(REJECTED_FIRST)
+    got = sampler._sample_tail(rngs, sizes)
+    want = [oracle_sample_tail(sampler, ref, n) for ref, n in zip(refs, sizes)]
+    assert got.tobytes() == np.concatenate(want).tobytes()
+    assert rngs[2].uniforms == refs[2].uniforms == []  # two rounds each
+    for rng, ref in zip(rngs, refs):
+        if rng is not rngs[2]:
+            assert rng.random() == ref.random()
+    assert sampler._sample_tail([path_rng(61, 0)], [0]).size == 0
+
+
+def walk_params(kind, beta, steps, seed=67):
+    if kind == "dissipative":
+        return WalkParams(kind=kind, steps=steps, seed=seed, alpha=beta / 2)
+    return WalkParams(kind=kind, steps=steps, seed=seed, beta=beta)
+
+
+def oracle_states(params, path_id):
+    signed = oracle_signed_states(params, path_rng(params.seed, path_id))
+    return signed if params.kind == "cauchy_Z" else np.abs(signed)
+
+
+def state_rows(path):
+    return path.path_id, path.states.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("beta", STREAM_BETAS, ids=str)
+@pytest.mark.parametrize("kind", ["cauchy_Z", "folded", "dissipative"])
+@pytest.mark.parametrize("steps", [1, 2, _BLOCK_STEPS - 1, _BLOCK_STEPS,
+                                   _BLOCK_STEPS + 1, 10 ** 5])
+def test_block_rows_equal_the_oracle(kind, beta, steps):
+    # blocks of many short paths, of one path just under, at and over the
+    # block size (a fresh jump array), and of one path of 10^5 steps
+    params = walk_params(kind, beta, steps)
+    n_paths = 5 if steps <= 2 else 2
+    assert path_batch(params, n_paths, state_rows) == [
+        (i, oracle_states(params, i).tobytes()) for i in range(n_paths)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("beta", [Fraction(51, 50), B32, Fraction(2)],
+                         ids=str)
+def test_block_rows_are_the_same_at_any_block_size_and_cpu_count(
+        monkeypatch, beta):
+    # 11 paths of 300 steps in blocks of 1, 2, 3 and 7 paths (11 is no
+    # multiple of them) and in one block, on one CPU and on two
+    params = walk_params("dissipative", beta, 300)
+    want = [(i, oracle_states(params, i).tobytes()) for i in range(11)]
+    for block_steps in (1, 600, 900, 2100, 10 ** 6):
+        monkeypatch.setattr(walks, "_BLOCK_STEPS", block_steps)
+        for cpus in (1, 2):
+            monkeypatch.setattr("os.sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            assert path_batch(params, 11, state_rows) == want
 
 
 @pytest.mark.parametrize("params", [
@@ -361,7 +450,8 @@ def test_empirical_one_step_matches_kernel():
     params = MeasureParams(alpha=Fraction(3, 4), precision=80)
     rng = path_rng(31, 0)
     n = 100000
-    nexts = np.array([one_step(2, rng) for _ in range(n)])
+    # n independent one-step moves |2 + L|, their jumps drawn in one call
+    nexts = np.abs(2 + ZetaJumpSampler.cached(B32).sample_signed(rng, n))
     for l in (0, 1, 2, 3, 5):
         p = float(transition_prob(2, l, params))
         freq = float(np.mean(nexts == l))
@@ -497,18 +587,27 @@ def test_transience_stats_equals_the_per_path_loop(alpha, checkpoints,
 
 @pytest.mark.parametrize("steps,pooled", [(500, False), (30_000, True)])
 def test_path_batch_pools_only_long_paths(monkeypatch, steps, pooled):
-    # rows come from worker threads only when the paths are long enough
+    # blocks go to worker threads only when a batch has more than one: 11
+    # paths of 500 steps are one block, of 30,000 steps six; the rows are
+    # made in the calling thread either way
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     params = WalkParams(kind="dissipative", steps=steps, seed=5,
                         alpha=Fraction(3, 4))
-    threads = set()
+    row_threads, block_threads = set(), set()
+    simulate = walks._simulate_block
+
+    def block(params, path_ids):
+        block_threads.add(threading.get_ident())
+        return simulate(params, path_ids)
 
     def row(path):
-        threads.add(threading.get_ident())
+        row_threads.add(threading.get_ident())
         return path.path_id, float(path.states[-1])
 
+    monkeypatch.setattr(walks, "_simulate_block", block)
     rows = path_batch(params, 11, row)
     assert rows == [(i, float(simulate_path(params, i).states[-1]))
                     for i in range(11)]
-    assert (threads != {threading.get_ident()}) == pooled
+    assert (block_threads != {threading.get_ident()}) == pooled
+    assert row_threads == {threading.get_ident()}
