@@ -23,6 +23,7 @@ import copy
 import functools
 import os
 import threading
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -341,13 +342,18 @@ def path_batch(params: WalkParams, n_paths: int, row) -> list:
 
     Paths are simulated in blocks of as many as fit in _BLOCK_STEPS steps
     (at least one), each block by numpy calls over all its paths, which
-    release the GIL.  With more than one block and more than one usable
-    CPU, the blocks go in order to one worker thread per CPU, each taking
-    the next block when it is free, at most 2 * CPUs blocks ahead of the
-    rows; ``row`` runs in the calling thread, in path order, as the blocks
-    are done.  So the rows depend neither on the blocks nor on the CPU
-    count, the states held stay bounded however slow ``row`` is, and the
-    workers run numpy only (mpmath's precision is one global context).
+    release the GIL.  The first block is simulated, and its rows made, in
+    the calling thread, which fills every cache a row reads.  If those
+    rows took longer than the simulation, the rows bound the batch (a CSV
+    row is pure-Python formatting) and worker threads would only take
+    CPU time from them, so the other blocks run there too.  Otherwise,
+    with more than one usable CPU, they go in order to one worker thread
+    per CPU, each taking the next block when it is free, at most 2 * CPUs
+    blocks ahead of the rows; ``row`` runs in the calling thread, in path
+    order, as the blocks are done.  So the rows depend neither on the
+    blocks nor on the CPU count, the states held stay bounded however
+    slow ``row`` is, and the workers run numpy only (mpmath's precision
+    is one global context).
     """
     per = max(1, _BLOCK_STEPS // params.steps)
     blocks = [range(lo, min(lo + per, n_paths))
@@ -358,14 +364,19 @@ def path_batch(params: WalkParams, n_paths: int, row) -> list:
     def rows(ids, states) -> list:
         return [row(WalkPath(s, i)) for s, i in zip(states, ids)]
 
-    if len(blocks) < 2 or cpus < 2:
-        return [r for ids in blocks for r in rows(ids, _simulate_block(
-            params, ids))]
+    start = time.perf_counter()
+    states = _simulate_block(params, blocks[0])
+    simulated = time.perf_counter()
+    out = rows(blocks[0], states)
+    if (len(blocks) < 2 or cpus < 2
+            or time.perf_counter() - simulated > simulated - start):
+        for ids in blocks[1:]:
+            out += rows(ids, _simulate_block(params, ids))
+        return out
     from concurrent.futures import ThreadPoolExecutor  # lazy: 4 ms, 1 MiB
-    ZetaJumpSampler.cached(params.beta)  # mpmath, in the calling thread
-    out, ahead = [], collections.deque()
+    ahead = collections.deque()
     with ThreadPoolExecutor(max_workers=cpus) as pool:
-        for ids in blocks:
+        for ids in blocks[1:]:
             ahead.append((ids, pool.submit(_simulate_block, params, ids)))
             if len(ahead) > 2 * cpus:
                 done, future = ahead.popleft()

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -357,8 +358,17 @@ def test_pooled_batches_print_the_serial_bytes(capsys, monkeypatch, argv,
     code, serial, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(serial.encode()).hexdigest() == digest
-    # blocks of two short paths take the threaded branch, on two CPUs
+    # blocks of two short paths take the threaded branch, on two CPUs,
+    # once the first block's simulation outweighs its rows
     monkeypatch.setattr(walks, "_BLOCK_STEPS", 600)
+    simulate = walks._simulate_block
+
+    def slow_first_block(params, path_ids):
+        if path_ids[0] == 0:
+            time.sleep(0.05)
+        return simulate(params, path_ids)
+
+    monkeypatch.setattr(walks, "_simulate_block", slow_first_block)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     code, threaded, err = run(capsys, *argv)

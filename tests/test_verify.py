@@ -7,6 +7,7 @@ import collections
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -65,8 +66,21 @@ def shrink(monkeypatch):  # criterion constants that fit paths of 300 steps
         monkeypatch.setattr(verify, name, value)
 
 
-def pooled(monkeypatch):  # the short test batches take the threaded branch
-    monkeypatch.setattr(walks, "_BLOCK_STEPS", 600)  # two 300-step paths
+def pooled(monkeypatch):
+    # the short test batches take the threaded branch: blocks of two
+    # 300-step paths, and a first block slow enough that no row of it
+    # outweighs its simulation
+    monkeypatch.setattr(walks, "_BLOCK_STEPS", 600)
+    monkeypatch.setattr(walks, "_simulate_block",
+                        slow_first_block(walks._simulate_block))
+
+
+def slow_first_block(simulate):
+    def slowed(params, path_ids):
+        if path_ids[0] == 0:
+            time.sleep(0.05)
+        return simulate(params, path_ids)
+    return slowed
 
 
 def same(a, b):  # bit for bit

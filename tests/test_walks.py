@@ -1,5 +1,6 @@
 import hashlib
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -599,6 +600,8 @@ def test_path_batch_pools_only_long_paths(monkeypatch, steps, pooled):
 
     def block(params, path_ids):
         block_threads.add(threading.get_ident())
+        if path_ids[0] == 0:
+            time.sleep(0.05)  # the first block outweighs its rows
         return simulate(params, path_ids)
 
     def row(path):
@@ -611,3 +614,26 @@ def test_path_batch_pools_only_long_paths(monkeypatch, steps, pooled):
                     for i in range(11)]
     assert (block_threads != {threading.get_ident()}) == pooled
     assert row_threads == {threading.get_ident()}
+
+
+def test_rows_that_outweigh_the_simulation_run_serially(monkeypatch):
+    # 11 paths of 30,000 steps are six blocks; rows that take longer than
+    # the first block's simulation keep every block in the calling thread
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    params = WalkParams(kind="dissipative", steps=30_000, seed=5,
+                        alpha=Fraction(3, 4))
+    block_threads = set()
+    simulate = walks._simulate_block
+
+    def block(params, path_ids):
+        block_threads.add(threading.get_ident())
+        return simulate(params, path_ids)
+
+    def slow_row(path):
+        time.sleep(0.05)
+        return path.path_id
+
+    monkeypatch.setattr(walks, "_simulate_block", block)
+    assert path_batch(params, 11, slow_row) == list(range(11))
+    assert block_threads == {threading.get_ident()}
