@@ -58,13 +58,13 @@ def dim_series(symbols, alpha, precision: int = 80) -> DimSeries:
 
     The step denominators and kernel numerators come from ``step_arrays``,
     so repetition steps use 2k and renewal steps k, exactly as in the
-    geometry.  A negative or non-integer symbol or an illegal step (d = 0)
-    is a ValueError.
+    geometry.  A negative or non-integer symbol, an illegal step (d = 0)
+    or an alpha outside (1/2, 1] is a ValueError.
     """
     symbols = np.asarray(symbols, dtype=np.float64)
     if symbols.size == 0:
         raise ValueError("empty prefix")
-    alpha = Fraction(alpha)
+    alpha = measure.MeasureParams(alpha).alpha
     d, s = step_arrays(np.concatenate(([0.0], symbols[:-1])), symbols)
     if (np.any(d <= 0) or np.any(symbols < 0)
             or np.any(symbols != np.floor(symbols))):

@@ -26,7 +26,7 @@ _H_FLOAT_CACHE: dict[tuple[int, int], "mp.mpf"] = {}
 _H2_CAP = 1024
 _H2_PREFIX = [Fraction(0)]  # H2(0), H2(1), ... up to H2(_H2_CAP)
 _H2_LAST = [0, Fraction(0)]  # the last t past _H2_CAP, and H2(t)
-_PHI_CAP = 4096  # phi_apply boundaries kept per precision
+_MAX_TERMS = 10 ** 6  # the last child index phi_apply searches
 
 
 class PrecisionError(ArithmeticError):
@@ -39,10 +39,11 @@ def q_value(precision: int = DEFAULT_PRECISION):
         return 3 / mp.pi ** 2
 
 
-def _to_mpf(s):
+def _to_mpf(s, ctx=mp):
+    """s as an mpf, or as an interval enclosure of it with ctx = mp.iv."""
     if isinstance(s, Fraction):
-        return mp.mpf(s.numerator) / s.denominator
-    return mp.mpf(s)
+        return ctx.mpf(s.numerator) / s.denominator
+    return ctx.mpf(s)
 
 
 def decimal_str(x, precision: int) -> str:
@@ -139,8 +140,8 @@ def _inverse_square_sum(a: int, b: int) -> Fraction:
 def _right_block(k: int, c: int) -> Fraction:
     """Summed lengths, in units of q*|parent|, of the right-block children
     c, c+1, ..., k of a parent with last symbol k >= 1: 1/(2k)^2 for child
-    k and H2(k - c) for the others."""
-    return Fraction(1, 4 * k * k) + _h2(k - c)
+    k and H2(k - c) for the others (none for c = k + 1)."""
+    return Fraction(1, 4 * k * k) + _h2(k - c) if c <= k else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -252,38 +253,38 @@ def left_block_partition_bracket(word: AdmissibleWord, truncation: int,
     return lo, hi, half
 
 
-def _locate(x_iv, cumulative, max_terms):
-    """Index j >= 1 with cumulative(j-1) <= x < cumulative(j), rigorously.
+def _index(x, boundary, guess):
+    """The j >= 1 with boundary(j - 1) <= x < boundary(j), rigorously, and
+    the enclosure of boundary(j - 1) it decided on.
 
-    ``x_iv`` and ``cumulative(j)`` are mpmath intervals; ``cumulative`` must
-    be non-decreasing in j.  Raises PrecisionError when a comparison
-    straddles or when max_terms is reached.
+    ``x`` and ``boundary(j)`` are mpmath intervals, the boundaries rising
+    with j, and ``guess`` is a number or point interval with
+    j > guess - 1, so the search steps up from floor(guess).  A
+    comparison that straddles raises PrecisionError, and so does a j past
+    _MAX_TERMS: before any boundary is evaluated when ``guess`` alone
+    proves it.
     """
-    prev = cumulative(0)
-    if x_iv.a < prev.b and not x_iv.b < prev.a:
-        # only triggered for x below the very first cumulative point
-        raise PrecisionError("containment undecided; raise precision")
-    for j in range(1, max_terms + 1):
-        c = cumulative(j)
-        if x_iv.b < c.a:
-            if prev.b <= x_iv.a:
-                return j
+    if guess >= _MAX_TERMS + 1:
+        raise PrecisionError("point too close to an accumulation point")
+    j = max(int(guess), 1)
+    lo = boundary(j - 1)
+    while True:
+        if not lo.b <= x.a:
             raise PrecisionError("containment undecided; raise precision")
-        if not (c.b <= x_iv.a):
-            raise PrecisionError("containment undecided; raise precision")
-        prev = c
-    raise PrecisionError("point too close to an accumulation point")
+        hi = boundary(j)
+        if x.b < hi.a:
+            return j, lo
+        lo, j = hi, j + 1
+        if j > _MAX_TERMS:
+            raise PrecisionError("point too close to an accumulation point")
 
 
-@functools.lru_cache(maxsize=4)
-def _phi_constants(precision: int):
-    """q = 3/pi^2 and the (H2(j), q*H2(j)) that ``phi_apply`` calls share
-    for j <= _PHI_CAP, as intervals; call it at mp.iv.prec = precision."""
-    q = mp.iv.mpf(3) / mp.iv.pi ** 2
-    return q, [(mp.iv.mpf(0), q * mp.iv.mpf(0))]
+# q = 3/pi^2 as an interval, per precision; call it at mp.iv.prec = precision
+_q_interval = functools.lru_cache(maxsize=4)(
+    lambda precision: mp.iv.mpf(3) / mp.iv.pi ** 2)
 
 
-def phi_apply(x, precision: int = DEFAULT_PRECISION, max_terms: int = 10 ** 6):
+def phi_apply(x, precision: int = DEFAULT_PRECISION):
     """One step of the piecewise-affine interval map on [0, 1/2).
 
     Locates the level-2 cylinder I_{k,m} containing x and applies the
@@ -294,29 +295,28 @@ def phi_apply(x, precision: int = DEFAULT_PRECISION, max_terms: int = 10 ** 6):
 
     The literal image family is disconnected, so the affine map is taken
     onto its convex hull; a point exactly at the parent midpoint (the
-    accumulation point of the left block) is treated as escaped.
+    accumulation point of the left block) is treated as escaped.  Child
+    boundaries enclose the exact ``_h2`` and ``_right_block`` values.
     """
     old = mp.iv.prec
     try:
         mp.iv.prec = precision
-        q, memo = _phi_constants(precision)
-        h2 = list(memo)  # extended past the memo for this call only
+        q = _q_interval(precision)
         with mp.workprec(precision):
             x = mp.mpf(x)
             if x < 0 or x >= mp.mpf(1) / 2:
                 raise ValueError("x must lie in [0, 1/2)")
             x_iv = mp.iv.mpf(x)
 
-            def h2_iv(j):  # the intervals (H2(j), q*H2(j))
-                while len(h2) <= j:
-                    l = len(h2)
-                    h = h2[-1][0] + mp.iv.mpf(1) / (l * l)
-                    h2.append((h, q * h))
-                return h2[j]
+            def h2(j):  # H2(j) as an interval
+                return _to_mpf(_h2(j), mp.iv)
 
-            # level 1: x in I_k iff q*H2(k-1) <= x < q*H2(k)
-            k = _locate(x_iv, lambda j: h2_iv(j)[1], max_terms)
-            left_k = h2_iv(k - 1)[1]
+            # Each search starts from H2(j) ~ pi^2/6 - 1/j: the j with
+            # H2(j-1) <= y < H2(j) lies within 1 of 1/(pi^2/6 - y), since
+            # 1/(j+1) < pi^2/6 - H2(j) < 1/j; the guess is the lower end of
+            # an enclosure of that.  Level 1: x in I_k iff q*H2(k-1) <= x <
+            # q*H2(k), y = x/q, and 1/(pi^2/6 - y) = q/(1/2 - x).
+            k, left_k = _index(x_iv, lambda j: q * h2(j), (q / (0.5 - x_iv)).a)
             len_k = q / (k * k)
             qlen = q * len_k
             mid_k = left_k + len_k / 2
@@ -324,26 +324,24 @@ def phi_apply(x, precision: int = DEFAULT_PRECISION, max_terms: int = 10 ** 6):
             if not (x_iv.b < mid_k.a or mid_k.b <= x_iv.a):
                 raise PrecisionError("midpoint membership undecided")
             if x_iv.b < mid_k.a:
-                # left block: child k+j where q*len_k*H2(j-1) <= x-left < ...
-                off = x_iv - left_k
-                j = _locate(off, lambda j: qlen * h2_iv(j)[0], max_terms)
-                m2 = k + j
+                # left block: child k+j where q*len_k*H2(j-1) <= x-left < ...,
+                # y = (x-left)/(q*len_k), 1/(pi^2/6 - y) = q*len_k/(mid - x)
+                m2 = k + _index(x_iv - left_k, lambda j: qlen * h2(j),
+                                (qlen / (mid_k - x_iv)).a)[0]
             else:
-                # right side: scan children k, k-1, ..., 0 from the right
-                t = (left_k + len_k) - x_iv  # distance from right endpoint
-                cum = qlen / (4 * k * k)  # length of child k
-                m2 = None
-                for l in range(k + 1):
-                    if l:
-                        cum = cum + qlen / (l * l)
-                    if t.b <= cum.a:
-                        m2 = k - l
-                        break
-                    if t.a < cum.b:
-                        raise PrecisionError("containment undecided")
-            memo.extend(h2[len(memo):_PHI_CAP + 1])
-            if m2 is None:
-                return None  # in the hole of I_k: escaped
+                # right block: child k+1-j begins q*len_k*_right_block(k,
+                # k+1-j) left of the right end, and past child 0 lies the
+                # hole; j-1 is the index of y = (right-x)/(q*len_k) - 1/4k^2,
+                # 1/(pi^2/6 - y) = q*len_k/(x - mid + q*len_k/4k^2).  For
+                # k >= _MAX_TERMS - 1, j passes the cap near the hole.
+                t = (left_k + len_k) - x_iv
+                guess = 1 + qlen / (x_iv - mid_k + qlen / (4 * k * k))
+                j, _ = _index(t, lambda j: qlen * _to_mpf(
+                    _right_block(k, k + 1 - j), mp.iv) if j <= k + 1
+                    else mp.iv.mpf("inf"), min(guess.a, k + 2))
+                if j > k + 1:
+                    return None  # in the hole of I_k: escaped
+                m2 = k + 1 - j
 
             # domain interval I_{k,m2} and image hull
             dom = cylinder_interval(AdmissibleWord((k, m2)))

@@ -45,6 +45,14 @@ _SAMPLER_CACHE: dict[str, "ZetaJumpSampler"] = {}
 _SCRATCH = threading.local()
 
 
+def _jump_exponent(beta) -> Fraction:
+    """beta as a Fraction, checked to lie in the jump law's domain (1, 2]."""
+    beta = Fraction(beta)
+    if not (1 < beta <= 2):
+        raise ValueError(f"beta must lie in (1, 2], got {beta}")
+    return beta
+
+
 def path_rng(seed: int, path_id: int) -> np.random.Generator:
     """Independent, replayable generator for one path."""
     return np.random.default_rng(
@@ -88,12 +96,9 @@ class ZetaJumpSampler:
     """
 
     def __init__(self, beta):
-        beta = Fraction(beta)
-        if not (1 < beta <= 2):
-            raise ValueError(f"beta must lie in (1, 2], got {beta}")
-        self.beta = beta
-        self.beta_f = float(beta)
-        self.zeta_beta = float(measure.zeta(beta, 80))
+        self.beta = _jump_exponent(beta)
+        self.beta_f = float(self.beta)
+        self.zeta_beta = float(measure.zeta(self.beta, 80))
         j = np.arange(1, TABLE_SIZE + 1, dtype=np.float64)
         pmf = j ** (-self.beta_f) / self.zeta_beta
         # the +inf sentinel sends u past the last entry to index TABLE_SIZE
@@ -257,7 +262,7 @@ class ZetaJumpSampler:
 
 @dataclass(frozen=True)
 class WalkParams:
-    """Configuration of one simulated walk."""
+    """Configuration of one simulated walk; a dissipative beta is 2 alpha."""
 
     kind: str                       # cauchy_Z | folded | dissipative
     steps: int
@@ -271,18 +276,15 @@ class WalkParams:
         if self.kind == "dissipative":
             if self.alpha is None:
                 raise ValueError("dissipative walk needs alpha")
-            a = Fraction(self.alpha)
+            a = measure.MeasureParams(self.alpha).alpha
+            if self.beta is not None and Fraction(self.beta) != 2 * a:
+                raise ValueError("dissipative walk has beta = 2 alpha")
             object.__setattr__(self, "alpha", a)
-            if not (Fraction(1, 2) < a <= 1):
-                raise ValueError("alpha must lie in (1/2, 1]")
             object.__setattr__(self, "beta", 2 * a)
         else:
-            if self.beta is None:
-                raise ValueError(f"{self.kind} walk needs beta")
-            b = Fraction(self.beta)
-            object.__setattr__(self, "beta", b)
-            if not (1 < b <= 2):
-                raise ValueError("beta must lie in (1, 2]")
+            if self.beta is None or self.alpha is not None:
+                raise ValueError(f"{self.kind} walk takes beta, not alpha")
+            object.__setattr__(self, "beta", _jump_exponent(self.beta))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -358,6 +360,8 @@ def path_batch(params: WalkParams, n_paths: int, row) -> list:
     per = max(1, _BLOCK_STEPS // params.steps)
     blocks = [range(lo, min(lo + per, n_paths))
               for lo in range(0, n_paths, per)]
+    if not blocks:
+        return []
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)  # sched_getaffinity is Linux-only
 
@@ -419,9 +423,7 @@ def folded_kernel_identity(beta, m_max: int, precision: int = 256) -> float:
     it bit for bit against ``measure.transition_prob``).  The folding
     identity makes them equal, so only rounding remains.
     """
-    beta = Fraction(beta)
-    if not (1 < beta <= 2):
-        raise ValueError(f"beta must lie in (1, 2], got {beta}")
+    beta = _jump_exponent(beta)
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     with mp.workprec(precision):
@@ -491,9 +493,7 @@ def increment_tail_prob(beta, gamma, n: int, precision: int = 256):
     over n converges, i.e. gamma*(beta-1) > 1 (harmonic comparison at the
     boundary).
     """
-    beta = Fraction(beta)
-    if not (1 < beta <= 2):
-        raise ValueError(f"beta must lie in (1, 2], got {beta}")
+    beta = _jump_exponent(beta)
     if n < 1:
         raise ValueError("n must be >= 1")
     with mp.workprec(precision):

@@ -64,6 +64,12 @@ def test_dim_series_rejects_inadmissible():
         dim_series([2.5, 1], Fraction(3, 4))
 
 
+@pytest.mark.parametrize("alpha", [3, Fraction(1, 2), "9"])
+def test_dim_series_checks_alpha_like_the_measure(alpha):
+    with pytest.raises(ValueError, match=r"alpha must lie in \(1/2, 1\]"):
+        dim_series([1.0, 2.0, 3.0], alpha)
+
+
 def test_furstenberg_constant_steps():
     # constant unit steps give log r_n = n log q exactly, so the ratio of
     # consecutive log-lengths is (n+1)/n

@@ -1,3 +1,5 @@
+import collections
+import functools
 import hashlib
 from fractions import Fraction
 
@@ -357,11 +359,11 @@ def test_geometry_memos_stay_within_their_caps():
     for x in (rng.random(500) / 2).tolist() + [0.5 - 5e-5]:
         phi_apply(x)
     assert len(geometry._H2_PREFIX) == geometry._H2_CAP + 1
-    for memo in (geometry._q_power, geometry._phi_constants):
+    for bits in (53, 64, 128, 256, 512):
+        phi_apply(0.3, bits)
+    for memo in (geometry._q_power, geometry._q_interval):
         info = memo.cache_info()
         assert info.currsize <= info.maxsize
-    _, boundaries = geometry._phi_constants(geometry.DEFAULT_PRECISION)
-    assert len(boundaries) == geometry._PHI_CAP + 1
 
 
 @pytest.mark.parametrize("t", [geometry._H2_CAP + 1, geometry._H2_CAP + 2,
@@ -379,3 +381,128 @@ def test_h2_past_the_cap_in_any_order(monkeypatch):
     for t in (3000, 3000, 2000, 3001, 1025, 1030, 1024, 2500):
         assert geometry._h2(t) == summed_h2(t)
 
+
+def hull_image(x, k, m, words, bits=256):
+    """The affine image of x in I_{k,m} onto the hull that phi_apply's
+    docstring names, from ``words``, the children of I_k in spatial order:
+    all of I_k for m <= k + 1, else from the left neighbour I_{k,m-1} to
+    the midpoint of I_k (the left edge of its hole)."""
+    i = [w.last for w in words].index(m)
+    dom = cylinder_interval(words[i])
+    if m <= k + 1:
+        parent = cylinder_interval(W(str(k)))
+        hl, hr = parent.left, parent.right
+    else:
+        hl, hr = cylinder_interval(words[i - 1]).left, hole(W(str(k))).left
+    a, dlen, hl, hr = (p.evaluate(bits) for p in (dom.left, dom.length_poly,
+                                                  hl, hr))
+    with mp.workprec(bits):
+        return hl + (mp.mpf(x) - a) * (hr - hl) / dlen
+
+
+@functools.cache
+def child_enclosures(k, depth):
+    """(word, left, right) for the children of I_k up to symbol k + depth in
+    spatial order, then ("hole", left, right): enclosures at 256 bits of
+    the exact endpoints that ``cylinder_interval`` and ``hole`` give."""
+    out = [(w, cylinder_interval(w).left, cylinder_interval(w).right)
+           for w in children(W(str(k)), k + depth)]
+    h = hole(W(str(k)))
+    out.append(("hole", h.left, h.left + h.length))
+    return [(w, enclosure(a), enclosure(b)) for w, a, b in out]
+
+
+def locate_by_children(x, k_max, depth):
+    """(k, m) for the child I_{k,m} of I_1 .. I_{k_max} that holds x,
+    (k, "hole") in the hole of I_k, None in a left block past child
+    k + depth; every comparison decided on the enclosures."""
+    def holds(lo, hi):
+        assert (lo.b <= x or x < lo.a) and (hi.b <= x or x < hi.a)
+        return lo.b <= x < hi.a
+
+    for k in range(1, k_max + 1):
+        level1 = cylinder_interval(W(str(k)))
+        if holds(enclosure(level1.left), enclosure(level1.right)):
+            for w, lo, hi in child_enclosures(k, depth):
+                if holds(lo, hi):
+                    return k, (w if w == "hole" else w.last)
+            return None
+    raise AssertionError("x lies past I_k_max")
+
+
+def test_phi_apply_matches_the_children_oracle(monkeypatch):
+    # seeded points of I_1 .. I_40, each located among the children of its
+    # I_k independently of phi_apply's search, whose three guesses each
+    # lead to at most four boundaries
+    searches = []  # boundaries evaluated, per search
+    index = geometry._index
+
+    def counted(x, boundary, guess):
+        searches.append(0)
+
+        def count(j):
+            searches[-1] += 1
+            return boundary(j)
+        return index(x, count, guess)
+
+    monkeypatch.setattr(geometry, "_index", counted)
+    rng = np.random.default_rng(2020)
+    top = float(cylinder_interval(W("40")).right.evaluate(64))
+    found = collections.Counter()
+    for x in (rng.random(300) * top).tolist():
+        where = locate_by_children(x, 40, 60)
+        if where is None:
+            continue  # deeper in a left block than the oracle lists
+        k, m = where
+        y = phi_apply(x)
+        if m == "hole":
+            assert y is None
+            found["hole"] += 1
+            continue
+        found["left" if m > k else "right"] += 1
+        words = [w for w, _, _ in child_enclosures(k, 60)[:-1]]
+        assert abs(y - hull_image(x, k, m, words)) < mp.mpf(10) ** -70
+    assert sum(found.values()) >= 280 and min(found.values()) >= 10, found
+    assert len(searches) >= 560 and max(searches) <= 4
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4096, 17682, 10 ** 5])
+def test_index_reaches_j_in_at_most_four_boundaries(j):
+    # boundaries H2(i) = zeta(2) - zeta(2, i + 1), enclosed at 300 bits; a
+    # point near each end and in the middle of [H2(j - 1), H2(j))
+    def h2(i):
+        with mp.workprec(320):
+            return mp.zeta(2) - mp.zeta(2, i + 1)
+
+    calls = []
+
+    def boundary(i):
+        calls.append(i)
+        with mp.workprec(320):
+            v, pad = h2(i), mp.mpf(2) ** -300
+            return mp.iv.mpf([v - pad, v + pad])
+
+    lo, hi = h2(j - 1), h2(j)
+    old = mp.iv.prec
+    try:
+        mp.iv.prec = 300
+        for f in (mp.mpf(10) ** -9, mp.mpf(1) / 2, 1 - mp.mpf(10) ** -9):
+            with mp.workprec(300):
+                y = mp.iv.mpf(lo + f * (hi - lo))
+            guess = (1 / (mp.iv.pi ** 2 / 6 - y)).a  # as phi_apply's
+            calls.clear()
+            assert geometry._index(y, boundary, guess)[0] == j
+            assert len(calls) <= 4, calls
+    finally:
+        mp.iv.prec = old
+
+
+def test_phi_apply_past_the_cap_raises_before_summing_h2(monkeypatch):
+    # k is about 3 * 10^6 here, past _MAX_TERMS: the estimate alone decides
+    calls = []
+    h2 = geometry._h2
+    monkeypatch.setattr(geometry, "_h2", lambda t: calls.append(t) or h2(t))
+    with pytest.raises(PrecisionError, match="accumulation point"):
+        phi_apply(0.5 - 1e-7)
+    assert calls == []
+    assert phi_apply(0.3) is not None and calls  # the counter is in place

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import threading
 import time
@@ -427,6 +428,40 @@ def test_walkparams_validation():
     # dissipative derives beta = 2 alpha
     p = WalkParams(kind="dissipative", steps=10, seed=1, alpha=Fraction(3, 4))
     assert p.beta == Fraction(3, 2)
+
+
+def test_walkparams_exponent_rules():
+    # a dissipative beta is 2 alpha: another is an error, an equal one is
+    # kept, so dataclasses.replace works
+    with pytest.raises(ValueError, match="beta = 2 alpha"):
+        WalkParams(kind="dissipative", steps=10, seed=1, alpha=Fraction(3, 4),
+                   beta=Fraction(7, 5))
+    p = WalkParams(kind="dissipative", steps=10, seed=1, alpha=Fraction(3, 4))
+    q = dataclasses.replace(p, steps=20)
+    assert (q.alpha, q.beta, q.steps) == (Fraction(3, 4), B32, 20)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(1/2, 1\]"):
+        WalkParams(kind="dissipative", steps=10, seed=1, alpha="9")
+    # the beta kinds take no alpha, not even a valid one
+    for kind in ("cauchy_Z", "folded"):
+        for alpha in ("9", Fraction(3, 4)):
+            with pytest.raises(ValueError, match="not alpha"):
+                WalkParams(kind=kind, steps=10, seed=1, beta=B32, alpha=alpha)
+
+
+@pytest.mark.parametrize("beta", [1, Fraction(5, 2), "9"])
+def test_every_beta_check_is_the_sampler_domain(beta):
+    for make in (ZetaJumpSampler,
+                 lambda b: WalkParams(kind="folded", steps=10, seed=1, beta=b),
+                 lambda b: folded_kernel_identity(b, 5),
+                 lambda b: increment_tail_prob(b, 2, 3)):
+        with pytest.raises(ValueError, match=r"beta must lie in \(1, 2\]"):
+            make(beta)
+
+
+def test_path_batch_of_no_paths_is_empty():
+    params = WalkParams(kind="dissipative", steps=10, seed=1,
+                        alpha=Fraction(3, 4))
+    assert path_batch(params, 0, len) == []
 
 
 def test_folded_kernel_identity_is_tiny():
