@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from cantorwalk import measure
 from cantorwalk.coding import AdmissibleWord, children
 from cantorwalk.geometry import _to_mpf
 from cantorwalk.measure import (
@@ -48,6 +50,22 @@ def test_zeta_against_partial_sum_oracle():
         est = direct + (tail_lo + tail_hi) / 2
         assert float(zeta(Fraction(s).limit_denominator(100), 80)) == \
             pytest.approx(est, abs=2 * (tail_hi - tail_lo))
+
+
+def test_zeta_bits_are_pinned(monkeypatch):
+    # the sampler tables read float(zeta(beta, 80)), so one changed bit
+    # moves every stream; the digest was recorded before zeta's loop became
+    # the power-tail engine, with an empty cache
+    monkeypatch.setattr(measure, "_ZETA_CACHE", {})
+    digest = hashlib.sha256()
+    for s in (Fraction(51, 50), Fraction(6, 5), Fraction(3, 2),
+              Fraction(9, 5), Fraction(1999, 1000), Fraction(999, 500),
+              Fraction(2)):
+        for p in (53, 64, 80, 96, 128, 256):
+            bits = tuple(int(x) for x in zeta(s, p)._mpf_)
+            digest.update(repr(bits).encode())
+    assert digest.hexdigest() == (
+        "9ad1a5461b3dfe3f35b7e52c87b167b7dee837ea69e24c91cb686d992169b38a")
 
 
 def test_zeta_bracket_contains_value():
