@@ -28,64 +28,76 @@ class ZetaDomainError(ValueError):
     """s is too close to 1 for the requested evaluation."""
 
 
-def zeta(s, precision: int = DEFAULT_PRECISION):
-    """Riemann zeta at real s > 1 with |error| < 2^-precision.
+@functools.lru_cache(maxsize=1024)
+def _bernoulli_coefficient(j: int, precision: int):
+    """B_2j / (2j)! at ``precision`` bits."""
+    with mp.workprec(precision):
+        return mp.bernoulli(2 * j) / mp.factorial(2 * j)
 
-    Euler-Maclaurin summation with an explicit remainder bound: for real s
-    the remainder after the B_{2M} term is at most the magnitude of the
-    first omitted term.  N and M are chosen from the precision; if the
-    Bernoulli terms stop shrinking before the target is met, N is doubled.
+
+def _power_tail(s, start: int, precision: int):
+    """sum_{t >= start} t^-s at real s > 1.01 with |error| < 2^-precision.
+
+    The terms start ... n - 1 are summed directly and the rest by
+    Euler-Maclaurin at n = max(16, precision // 2, start), whose remainder
+    after the B_2M term is at most the first omitted term for real s; if
+    the Bernoulli terms stop shrinking before 2^-(precision + 5), n is
+    doubled.  At start 1 this is zeta(s) (DLMF 2.10, 25.11).
     """
-    key = (str(s), precision)
-    hit = _ZETA_CACHE.get(key)
-    if hit is not None:
-        return hit
     guard = 30
-    with mp.workprec(precision + guard):
+    wp = precision + guard
+    with mp.workprec(wp):
         s_mp = _to_mpf(s)
         if s_mp <= mp.mpf("1.01"):
-            raise ZetaDomainError(f"zeta: s={s} too close to 1 (require s > 1.01)")
+            raise ZetaDomainError(f"s={s} too close to 1 (require s > 1.01)")
         target = mp.mpf(2) ** (-(precision + 5))
-        n = max(16, precision // 2)
+        n = max(16, precision // 2, start)
         for _ in range(20):
             acc = mp.mpf(0)
-            for k in range(1, n):
+            for k in range(start, n):
                 acc += mp.mpf(k) ** (-s_mp)
             acc += mp.mpf(n) ** (1 - s_mp) / (s_mp - 1)
             acc += mp.mpf(n) ** (-s_mp) / 2
-            # Bernoulli correction terms
             poch = s_mp  # s(s+1)...(s+2j-2), built incrementally
             npow = mp.mpf(n) ** (-s_mp - 1)
-            term = None
             prev_abs = mp.inf
-            ok = False
             j = 1
             while True:
-                term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * poch * npow
+                term = _bernoulli_coefficient(j, wp) * poch * npow
                 if abs(term) < target:
-                    ok = True
-                    break
+                    return acc
                 if abs(term) >= prev_abs:
-                    break  # diverging: need larger N
+                    break  # diverging: need larger n
                 acc += term
                 prev_abs = abs(term)
                 poch *= (s_mp + 2 * j - 1) * (s_mp + 2 * j)
                 npow /= n * n
                 j += 1
-            if ok:
-                result = acc
-                break
             n *= 2
-        else:
-            raise ArithmeticError("zeta: Euler-Maclaurin did not converge")
-    _ZETA_CACHE[key] = result
-    return result
+    raise ArithmeticError("Euler-Maclaurin sum did not converge")
 
 
-def zeta_bracket(s, precision: int = DEFAULT_PRECISION):
-    """(lo, hi) rigorously enclosing zeta(s)."""
+def zeta(s, precision: int = DEFAULT_PRECISION):
+    """Riemann zeta at real s > 1.01 with |error| < 2^-precision: the power
+    tail from 1, memoised per (s, precision)."""
+    key = (str(s), precision)
+    if key not in _ZETA_CACHE:
+        _ZETA_CACHE[key] = _power_tail(s, 1, precision)
+    return _ZETA_CACHE[key]
+
+
+def power_tail_bracket(s, start: int, precision: int = DEFAULT_PRECISION):
+    """Rigorous (lo, hi) for sum_{t >= start} t^-s, start >= 1: the
+    Euler-Maclaurin value (``zeta`` at start 1) widened by 2^-precision.
+
+    The value is within 2^-(precision + 5) plus its rounding, and the ends,
+    rounded at precision + 10 bits, move by under 2^-(precision + 3) while
+    the sum stays below zeta(1.01) < 128, so the widening covers both.
+    """
+    if start < 1:
+        raise ValueError("start must be >= 1")
+    v = zeta(s, precision) if start == 1 else _power_tail(s, start, precision)
     with mp.workprec(precision + 10):
-        v = zeta(s, precision)
         eps = mp.mpf(2) ** (-precision)
         return v - eps, v + eps
 
@@ -195,22 +207,6 @@ def cylinder_mass(word: AdmissibleWord, params: MeasureParams) -> CylinderMass:
     return CylinderMass(word=word, params=params, factors=factors)
 
 
-def power_tail_bracket(beta, start: int, precision: int = DEFAULT_PRECISION):
-    """Rigorous (lo, hi) for sum_{j >= start} j^-beta, start >= 2.
-
-    Integral bounds: int_start^inf x^-beta dx <= sum <= int_{start-1}^inf.
-    """
-    if start < 2:
-        raise ValueError("start must be >= 2")
-    with mp.workprec(precision):
-        b = _to_mpf(beta)
-        if b <= 1:
-            raise ValueError("tail diverges for beta <= 1")
-        lo = mp.mpf(start) ** (1 - b) / (b - 1)
-        hi = mp.mpf(start - 1) ** (1 - b) / (b - 1)
-        return lo, hi
-
-
 @dataclass(frozen=True)
 class ConsistencyResult:
     word: AdmissibleWord
@@ -231,23 +227,24 @@ def consistency_defect(word: AdmissibleWord, params: MeasureParams,
 
     The children with symbol <= truncation are summed directly (float64,
     with the accumulated rounding folded into the bracket as an explicit
-    slack term); the tail is bracketed by integral bounds on the remaining
-    inverse-power sums, which are all left-block steps once
-    truncation >= last+2.  The zeta enclosure widens the bracket as well.
+    slack term); the rest are all left-block steps once truncation >=
+    last + 2, so their numerators are two power tails, bracketed by
+    ``power_tail_bracket`` at 64 bits since they enter float64 arithmetic.
+    The zeta enclosure widens the bracket as well.
     """
     k = word.last
     if truncation < k + 2:
         raise ValueError("truncation must be >= last symbol + 2")
     prec = params.precision
     beta = float(_to_mpf(params.beta))
-    z_lo, z_hi = (float(v) for v in zeta_bracket(params.beta, prec))
+    z_lo, z_hi = (float(v) for v in power_tail_bracket(params.beta, 1, prec))
     parent = float(cylinder_mass(word, params).value(max(prec, 64)))
     l = np.arange(truncation + 1, dtype=np.float64)
     terms = numerator_array(*step_arrays(k, l), beta)
     # children l = 1..truncation first, then l = 0 (nothing after state 0)
     row = float(np.sum(terms[1:])) + float(terms[0])
-    lo1, hi1 = power_tail_bracket(params.beta, truncation + 1 - k, prec)
-    lo2, hi2 = power_tail_bracket(params.beta, truncation + 1 + k, prec)
+    lo1, hi1 = power_tail_bracket(params.beta, truncation + 1 - k, 64)
+    lo2, hi2 = power_tail_bracket(params.beta, truncation + 1 + k, 64)
     tail_lo = parent * (float(lo1) + float(lo2)) / (2 * z_hi)
     tail_hi = parent * (float(hi1) + float(hi2)) / (2 * z_lo)
     p_lo = parent * row / (2 * z_hi)

@@ -259,7 +259,7 @@ def criterion_borel_cantelli() -> CriterionResult:
     mono = mono and not not_summable  # gamma*(beta-1) = 1 boundary diverges
 
     # integral brackets of P(|jump| >= n^gamma) for n0 <= n < steps
-    z_lo, z_hi = (float(v) for v in measure.zeta_bracket(beta, 64))
+    z_lo, z_hi = (float(v) for v in measure.power_tail_bracket(beta, 1, 64))
     b = float(beta)
     thresholds = np.ceil(np.arange(ENVELOPE_N0, TRANSIENCE_STEPS,
                                    dtype=np.float64) ** ENVELOPE_GAMMA)

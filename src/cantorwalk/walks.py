@@ -489,7 +489,8 @@ def transience_stats(params: WalkParams, n_paths: int,
 def increment_tail_prob(beta, gamma, n: int, precision: int = 256):
     """Rigorous bracket of P(|jump at step n| >= n^gamma), plus verdict.
 
-    Returns ((lo, hi), summable) where summable reports whether the series
+    The probability is the power tail from ceil(n^gamma) over the one
+    from 1, both from ``measure.power_tail_bracket``.  Returns ((lo, hi), summable) where summable reports whether the series
     over n converges, i.e. gamma*(beta-1) > 1 (harmonic comparison at the
     boundary).
     """
@@ -499,9 +500,7 @@ def increment_tail_prob(beta, gamma, n: int, precision: int = 256):
     with mp.workprec(precision):
         g = _to_mpf(Fraction(gamma))
         threshold = int(mp.ceil(mp.mpf(n) ** g))
-        z_lo, z_hi = measure.zeta_bracket(beta, precision)
-        if threshold <= 1:
-            return (mp.mpf(1), mp.mpf(1)), _summable(beta, gamma)
+        z_lo, z_hi = measure.power_tail_bracket(beta, 1, precision)
         t_lo, t_hi = measure.power_tail_bracket(beta, threshold, precision)
         lo = t_lo / z_hi
         hi = min(mp.mpf(1), t_hi / z_lo)

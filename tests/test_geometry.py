@@ -382,6 +382,28 @@ def test_h2_past_the_cap_in_any_order(monkeypatch):
         assert geometry._h2(t) == summed_h2(t)
 
 
+def test_h2_steps_back_from_its_kept_value(monkeypatch):
+    # H2(4999) after H2(5000) subtracts the one term between them, where
+    # summing again from the cap would take 3975
+    monkeypatch.setattr(geometry, "_H2_LAST", [0, Fraction(0)])
+    split = geometry._inverse_square_sum
+    terms, depth = [], [0]
+
+    def outermost(a, b):
+        if not depth[0]:
+            terms.append(b - a)
+        depth[0] += 1
+        try:
+            return split(a, b)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(geometry, "_inverse_square_sum", outermost)
+    assert geometry._h2(5000) == summed_h2(5000)
+    assert geometry._h2(4999) == summed_h2(4999)
+    assert terms == [5000 - geometry._H2_CAP, 1]
+
+
 def hull_image(x, k, m, words, bits=256):
     """The affine image of x in I_{k,m} onto the hull that phi_apply's
     docstring names, from ``words``, the children of I_k in spatial order:

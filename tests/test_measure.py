@@ -18,7 +18,6 @@ from cantorwalk.measure import (
     power_tail_bracket,
     transition_prob,
     zeta,
-    zeta_bracket,
 )
 
 
@@ -69,7 +68,7 @@ def test_zeta_bits_are_pinned(monkeypatch):
 
 
 def test_zeta_bracket_contains_value():
-    lo, hi = zeta_bracket(Fraction(6, 5), 128)
+    lo, hi = power_tail_bracket(Fraction(6, 5), 1, 128)
     v = zeta(Fraction(6, 5), 256)
     assert lo <= v <= hi
 
@@ -79,6 +78,44 @@ def test_zeta_domain_error():
         zeta(Fraction(1), 64)
     with pytest.raises(ZetaDomainError):
         zeta(Fraction(101, 100), 64)
+
+
+def test_power_tail_domain_error_at_every_start():
+    for s in (Fraction(1, 2), Fraction(1), Fraction(101, 100)):
+        for start in (1, 2, 10, 10 ** 4, 10 ** 12):
+            with pytest.raises(ZetaDomainError):
+                power_tail_bracket(s, start, 64)
+    with pytest.raises(ValueError, match="start"):
+        power_tail_bracket(Fraction(3, 2), 0, 64)
+
+
+@pytest.mark.parametrize("p", [53, 64, 256])
+def test_power_tail_against_hurwitz_zeta(p):
+    # mpmath's Hurwitz zeta(s, a) = sum_{t >= a} t^-s, at 2p + 40 bits
+    for s in (Fraction(51, 50), Fraction(6, 5), Fraction(3, 2),
+              Fraction(1999, 1000), Fraction(2)):
+        for start in (1, 2, 10, p // 2 - 1, p // 2, p // 2 + 1, 10 ** 4,
+                      10 ** 12):
+            lo, hi = power_tail_bracket(s, start, p)
+            with mp.workprec(2 * p + 40):
+                oracle = mp.zeta(_to_mpf(s), start)
+                assert lo <= oracle <= hi, (s, start)
+                assert abs((lo + hi) / 2 - oracle) < mp.mpf(2) ** -p
+
+
+def exact(x) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("a,b,p", [(1, 11, 64), (2, 3, 53), (5, 200, 96),
+                                   (40, 41, 256), (300, 5000, 64)])
+def test_power_tail_differences_enclose_exact_sums(a, b, p):
+    # T(2, a) - T(2, b) = sum_{a <= t < b} 1/t^2
+    direct = sum(Fraction(1, t * t) for t in range(a, b))
+    lo_a, hi_a = power_tail_bracket(Fraction(2), a, p)
+    lo_b, hi_b = power_tail_bracket(Fraction(2), b, p)
+    assert exact(lo_a) - exact(hi_b) <= direct <= exact(hi_a) - exact(lo_b)
 
 
 # -------------------------------------------------------------- kernel ----

@@ -496,25 +496,19 @@ def test_empirical_one_step_matches_kernel():
 
 
 def test_increment_tail_prob_bracket_and_verdicts():
-    (lo, hi), summable = increment_tail_prob(B32, 3, 10, 96)
-    assert 0 < float(lo) <= float(hi) <= 1
-    # direct oracle: threshold = 1000, tail = sum_{j>=1000} j^-1.5 / zeta
-    z = float(zeta(B32, 80))
-    direct = sum(j ** -1.5 for j in range(1000, 400000)) + 2 / 399999 ** 0.5
-    assert float(lo) <= direct / z <= float(hi)
-    assert summable  # gamma (beta - 1) = 3/2 > 1
+    # oracle: threshold 10^3 = 1000, P = zeta(beta, 1000) / zeta(beta) with
+    # mpmath's Hurwitz zeta at twice the bracket's precision
+    for beta in (B32, Fraction(2)):
+        (lo, hi), summable = increment_tail_prob(beta, 3, 10, 96)
+        assert 0 < lo <= hi <= 1
+        with mp.workprec(192):
+            b = mp.mpf(beta.numerator) / beta.denominator
+            assert lo <= mp.zeta(b, 1000) / mp.zeta(b) <= hi
+        assert summable  # gamma (beta - 1) = 3/2 and 3 > 1
     _, s2 = increment_tail_prob(B32, 2, 10, 96)
     assert not s2  # 2 * 1/2 = 1: boundary diverges by harmonic comparison
     _, s3 = increment_tail_prob(Fraction(6, 5), 4, 10, 96)
     assert not s3  # 4 * 1/5 < 1
-    # beta = 2: tail = sum_{j>=1000} j^-2 / zeta(2), the rest past 4e5
-    # bracketed by 1/400000 <= sum_{j>=400000} j^-2 <= 1/399999
-    (lo, hi), s4 = increment_tail_prob(Fraction(2), 3, 10, 96)
-    direct = sum(j ** -2.0 for j in range(1000, 400000))
-    z2 = float(zeta(Fraction(2), 80))
-    assert float(lo) <= (direct + 1 / 400000) / z2
-    assert (direct + 1 / 399999) / z2 <= float(hi)
-    assert s4  # 3 * 1 > 1
 
 
 def test_increment_tail_prob_trivial_threshold():
