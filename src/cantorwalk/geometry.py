@@ -114,18 +114,16 @@ def cylinder_length(word: AdmissibleWord) -> tuple[Fraction, int]:
 def _h2(t: int) -> Fraction:
     """Partial sum of inverse squares, H2(t) = sum_{l<=t} 1/l^2; memoised
     up to _H2_CAP, since H2(t)'s denominator has about 2.9 t bits, and past
-    it only the last value, which the next t past the cap is reached from
-    by adding or subtracting the terms in between, or from the cap where
-    that is nearer (a word ending in k reads H2(k - 2) for its interval,
-    H2(k) for its hole)."""
+    it only the last value, which the next t is reached from by the terms
+    in between, or from the cap if nearer (a word ending in k reads
+    H2(k - 2) for its interval, H2(k) for its hole)."""
     prefix = _H2_PREFIX
     for l in range(len(prefix), min(t, _H2_CAP) + 1):
         prefix.append(prefix[l - 1] + Fraction(1, l * l))
     if t <= _H2_CAP:
         return prefix[t]
-    last_t, last = _H2_LAST
-    if last_t <= _H2_CAP or t - _H2_CAP <= last_t - t:
-        last_t, last = _H2_CAP, prefix[_H2_CAP]
+    last_t, last = (_H2_LAST if abs(_H2_LAST[0] - t) < t - _H2_CAP
+                    else (_H2_CAP, prefix[_H2_CAP]))
     if t > last_t:
         _H2_LAST[:] = t, last + _inverse_square_sum(last_t + 1, t + 1)
     elif t < last_t:

@@ -90,10 +90,9 @@ def power_tail_bracket(s, start: int, precision: int = DEFAULT_PRECISION):
     """Rigorous (lo, hi) for sum_{t >= start} t^-s, start >= 1: the
     Euler-Maclaurin value (``zeta`` at start 1) widened by 2^-precision.
 
-    The value is within 2^-(precision + 5) plus its rounding, and the ends,
-    rounded at precision + 10 bits, move by under 2^-(precision + 3) while
-    the sum stays below zeta(1.01) < 128, so the widening covers both.
-    """
+    The value is within 2^-(precision + 5) plus its rounding, and the ends
+    round at precision + 10 bits by under 2^-(precision + 3), since s > 1.01
+    keeps the sum below 128."""
     if start < 1:
         raise ValueError("start must be >= 1")
     v = zeta(s, precision) if start == 1 else _power_tail(s, start, precision)

@@ -490,9 +490,9 @@ def increment_tail_prob(beta, gamma, n: int, precision: int = 256):
     """Rigorous bracket of P(|jump at step n| >= n^gamma), plus verdict.
 
     The probability is the power tail from ceil(n^gamma) over the one
-    from 1, both from ``measure.power_tail_bracket``.  Returns ((lo, hi), summable) where summable reports whether the series
-    over n converges, i.e. gamma*(beta-1) > 1 (harmonic comparison at the
-    boundary).
+    from 1, both from ``measure.power_tail_bracket``.  Returns ((lo, hi),
+    summable) where summable reports whether the series over n converges,
+    i.e. gamma*(beta-1) > 1 (harmonic comparison at the boundary).
     """
     beta = _jump_exponent(beta)
     if n < 1:
