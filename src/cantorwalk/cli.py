@@ -4,7 +4,8 @@ Subcommands: intervals | measure | walk | dim | pressure | lebesgue | verify.
 Rationals are given as "p/q" strings (decimals are rejected for alpha and
 beta so the exponents stay exact).  Outputs embed the tool version, the
 full configuration and the seeds, and identical configurations produce
-byte-identical output.
+byte-identical output, except for the wall-clock ``seconds`` of each
+``verify`` criterion.
 """
 from __future__ import annotations
 

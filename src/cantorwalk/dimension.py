@@ -20,21 +20,22 @@ from .coding import step_arrays
 from .geometry import q_value
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+_PRECISION = 80  # bits of the mpmath constants that are rounded to float
 
 
-def _log_q(precision: int = 80) -> float:
-    with mp.workprec(precision):
-        return float(mp.log(q_value(precision)))
+def _log_q() -> float:
+    with mp.workprec(_PRECISION):
+        return float(mp.log(q_value(_PRECISION)))
 
 
-@functools.cache
-def _dim_constants(alpha: Fraction, precision: int) -> tuple[float, float]:
-    """log q and log 2 zeta(2 alpha) of ``dim_series``, from precision-bit
-    mpmath values; cached, so dim_series runs no mpmath after its first
-    call at an (alpha, precision)."""
-    with mp.workprec(precision):
-        return (_log_q(precision),
-                float(mp.log(2 * measure.zeta(2 * alpha, precision))))
+@functools.lru_cache(maxsize=16)
+def _dim_constants(alpha: Fraction) -> tuple[float, float]:
+    """log q and log 2 zeta(2 alpha) of ``dim_series``, from _PRECISION-bit
+    mpmath values; memoised, so dim_series runs no mpmath after its first
+    call at an alpha."""
+    with mp.workprec(_PRECISION):
+        return (_log_q(),
+                float(mp.log(2 * measure.zeta(2 * alpha, _PRECISION))))
 
 
 @dataclass
@@ -52,7 +53,7 @@ class DimSeries:
     furstenberg: np.ndarray
 
 
-def dim_series(symbols, alpha, precision: int = 80) -> DimSeries:
+def dim_series(symbols, alpha) -> DimSeries:
     """Dimension series along the prefixes of an admissible symbol
     sequence, such as a dissipative path's ``states[1:]``.
 
@@ -70,7 +71,7 @@ def dim_series(symbols, alpha, precision: int = 80) -> DimSeries:
             or np.any(symbols != np.floor(symbols))):
         raise ValueError("prefix is not admissible")
     f = measure.numerator_array(d, s, float(2 * alpha))
-    log_q, log_2zb = _dim_constants(alpha, precision)
+    log_q, log_2zb = _dim_constants(alpha)
     nn = np.arange(1, symbols.size + 1, dtype=np.float64)
     log_len = nn * log_q - 2 * np.cumsum(np.log(d))
     log_mass = -nn * log_2zb + np.cumsum(np.log(f))
@@ -293,8 +294,8 @@ def lebesgue_mass_decay(depth: int, state_cutoff: int) -> LebesgueDecay:
     if depth < 1 or state_cutoff < 2:
         raise ValueError("need depth >= 1 and state_cutoff >= 2")
     kmax = state_cutoff
-    q = float(q_value(80))
-    with mp.workprec(80):
+    q = float(q_value(_PRECISION))
+    with mp.workprec(_PRECISION):
         zeta2 = float(mp.pi ** 2 / 6)
     column, diagonal = _step_weights(kmax, lambda d: q / (d * d), 0.0)
     t = _TransferOperator(column, diagonal)

@@ -22,7 +22,6 @@ from .coding import AdmissibleWord, step_arrays
 
 DEFAULT_PRECISION = 256
 
-_H_FLOAT_CACHE: dict[tuple[int, int], "mp.mpf"] = {}
 _H2_CAP = 1024
 _H2_PREFIX = [Fraction(0)]  # H2(0), H2(1), ... up to H2(_H2_CAP)
 _H2_LAST = [0, Fraction(0)]  # the last t past _H2_CAP, and H2(t)
@@ -227,6 +226,16 @@ def hole(word: AdmissibleWord) -> HoleGeometry:
     return cylinder_interval(word).hole()
 
 
+@functools.lru_cache(maxsize=4)
+def _h2_float(t: int, precision: int):
+    """H2(t) at ``precision`` bits, summed term by term."""
+    with mp.workprec(precision):
+        h = mp.mpf(0)
+        for l in range(1, t + 1):
+            h += mp.mpf(1) / (l * l)
+        return h
+
+
 def left_block_partition_bracket(word: AdmissibleWord, truncation: int,
                                  precision: int = DEFAULT_PRECISION):
     """Bracket for the total length of the left-block children of ``word``.
@@ -242,13 +251,7 @@ def left_block_partition_bracket(word: AdmissibleWord, truncation: int,
     with mp.workprec(precision):
         q = q_value(precision)
         length = _to_mpf(r) * q ** n
-        key = (truncation, precision)
-        h = _H_FLOAT_CACHE.get(key)
-        if h is None:
-            h = mp.mpf(0)
-            for l in range(1, truncation + 1):
-                h += mp.mpf(1) / (l * l)
-            _H_FLOAT_CACHE[key] = h
+        h = _h2_float(truncation, precision)
         base = q * length
         lo = base * (h + mp.mpf(1) / (truncation + 1))
         hi = base * (h + mp.mpf(1) / truncation)

@@ -18,11 +18,6 @@ import numpy as np
 from .coding import AdmissibleWord, step_arrays
 from .geometry import DEFAULT_PRECISION, _to_mpf
 
-_ZETA_CACHE: dict[tuple[str, int], mp.mpf] = {}
-_POWER_CAP = 4096
-# one table {k: k^-beta} per (beta as its mpf tuple, precision)
-_power_table = functools.lru_cache(maxsize=8)(lambda beta, precision: {})
-
 
 class ZetaDomainError(ValueError):
     """s is too close to 1 for the requested evaluation."""
@@ -77,13 +72,12 @@ def _power_tail(s, start: int, precision: int):
     raise ArithmeticError("Euler-Maclaurin sum did not converge")
 
 
+@functools.lru_cache(maxsize=64)
 def zeta(s, precision: int = DEFAULT_PRECISION):
     """Riemann zeta at real s > 1.01 with |error| < 2^-precision: the power
-    tail from 1, memoised per (s, precision)."""
-    key = (str(s), precision)
-    if key not in _ZETA_CACHE:
-        _ZETA_CACHE[key] = _power_tail(s, 1, precision)
-    return _ZETA_CACHE[key]
+    tail from 1, memoised by the value of s (3/2 and 1.5 share an entry)
+    and precision."""
+    return _power_tail(s, 1, precision)
 
 
 def power_tail_bracket(s, start: int, precision: int = DEFAULT_PRECISION):
@@ -119,20 +113,19 @@ class MeasureParams:
         return 2 * self.alpha
 
 
-def _kernel_power(k: int, beta):
-    """``mp.mpf(k) ** -beta`` at the working precision, for an mpf beta;
-    memoised for k <= _POWER_CAP in one table per (beta, precision)."""
-    table = _power_table(beta._mpf_, mp.mp.prec) if k <= _POWER_CAP else {}
-    if k not in table:
-        table[k] = mp.mpf(k) ** (-beta)
-    return table[k]
+@functools.lru_cache(maxsize=8 * 4096)
+def _kernel_power(k: int, beta: tuple, precision: int):
+    """``mp.mpf(k) ** -beta`` at ``precision`` bits, for beta given as the
+    ``_mpf_`` tuple of an mpf (hashing the tuple is cheaper than the mpf)."""
+    with mp.workprec(precision):
+        return mp.mpf(k) ** -mp.make_mpf(beta)
 
 
 def _numerator(d: int, s: int, beta):
     """Kernel numerator of one step (d, s) of ``coding.step_arrays`` as an
     mpf at the working precision: d^-beta, plus s^-beta where s > 0; 0 for
     the illegal step (d = 0)."""
-    return sum(_kernel_power(x, beta) for x in (d, s) if x)
+    return sum(_kernel_power(x, beta._mpf_, mp.mp.prec) for x in (d, s) if x)
 
 
 def numerator_array(d, s, beta: float) -> np.ndarray:
@@ -159,7 +152,7 @@ class CylinderMass:
 
     Each factor is the (d, s) pair of ``coding.step_arrays`` for one step
     and evaluates to the kernel numerator d^-2a + s^-2a (no s term where
-    s = 0), its powers read from ``_kernel_power``'s tables; the mass is
+    s = 0), its powers read from ``_kernel_power``'s memo; the mass is
     (2 zeta(2a))^-n times the product of the factors.
     """
 
@@ -209,10 +202,10 @@ def cylinder_mass(word: AdmissibleWord, params: MeasureParams) -> CylinderMass:
 @dataclass(frozen=True)
 class ConsistencyResult:
     word: AdmissibleWord
-    partial_sum: mp.mpf          # sum of child masses with symbol <= K
-    tail_lo: mp.mpf
-    tail_hi: mp.mpf
-    parent_mass: mp.mpf
+    partial_sum: float           # sum of child masses with symbol <= K
+    tail_lo: float
+    tail_hi: float
+    parent_mass: float
 
     @property
     def contains_parent(self) -> bool:

@@ -203,12 +203,12 @@ def criterion_path_law(n_paths: int = 10 ** 6) -> CriterionResult:
                            {"cells": cells, "worst_z": worst})
 
 
-@functools.cache
+@functools.lru_cache(maxsize=3)
 def _path_batch(scalars, seed: int, alpha: Fraction, n_paths: int,
                 steps: int) -> np.ndarray:
     """Row i is ``scalars(path i)`` of a frozen dissipative batch, from
-    ``walks.path_batch``.  run_all clears this cache, so one run simulates
-    each batch once, in the first criterion that reads it."""
+    ``walks.path_batch``.  run_all clears this cache of the suite's three
+    batches, so one run simulates each once, in the first that reads it."""
     params = walks.WalkParams(kind="dissipative", steps=steps, seed=seed,
                               alpha=alpha)
     out = np.array(walks.path_batch(params, n_paths, scalars))

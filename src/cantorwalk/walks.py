@@ -40,8 +40,9 @@ _CHUNK = 1 << 16       # draws looked up at once, to bound the temporaries
 # a batch simulates as many paths at once as fit in this many steps, and at
 # least one, so a path of 10^5 steps is a block of its own
 _BLOCK_STEPS = 1 << 16
+# the suffix minima whose shares transience_stats reports as escape fractions
+_ESCAPE_THRESHOLDS = (1, 10, 100)
 
-_SAMPLER_CACHE: dict[str, "ZetaJumpSampler"] = {}
 _SCRATCH = threading.local()
 
 
@@ -107,14 +108,10 @@ class ZetaJumpSampler:
         self.guide = np.searchsorted(self.cum, edges)
         self.wide = np.diff(self.guide) > 1
 
-    @classmethod
-    def cached(cls, beta) -> "ZetaJumpSampler":
-        key = str(Fraction(beta))
-        s = _SAMPLER_CACHE.get(key)
-        if s is None:
-            s = cls(beta)
-            _SAMPLER_CACHE[key] = s
-        return s
+    @staticmethod
+    def cached(beta) -> "ZetaJumpSampler":
+        """The sampler of beta's value, one for 3/2, "3/2" and 1.5."""
+        return _sampler(Fraction(beta))
 
     def _sample_tail(self, rngs, sizes) -> np.ndarray:
         """Magnitudes > TABLE_SIZE, exact accept/reject on the integer law:
@@ -260,6 +257,11 @@ class ZetaJumpSampler:
             yield out
 
 
+@functools.lru_cache(maxsize=8)
+def _sampler(beta: Fraction) -> ZetaJumpSampler:
+    return ZetaJumpSampler(beta)
+
+
 @dataclass(frozen=True)
 class WalkParams:
     """Configuration of one simulated walk; a dissipative beta is 2 alpha."""
@@ -398,14 +400,14 @@ def _kernel_pair(beta: Fraction, precision: int):
     the jumps j in {l - m, -l - m} (one jump when l = 0).  The dissipative
     side is ``measure.transition_prob``'s (d^-beta + s^-beta) / (2 zeta)
     over the step (d, s) of ``step_arrays`` (no s term where s = 0).  Both
-    read k^-beta from the measure module's shared table.
+    read k^-beta from the measure module's memo.
     """
     with mp.workprec(precision):
         b = _to_mpf(beta)
         two_z = 2 * measure.zeta(beta, precision)
 
     def folded(m: int, l: int):
-        return sum(measure._kernel_power(abs(j), b) / two_z
+        return sum(measure._kernel_power(abs(j), b._mpf_, precision) / two_z
                    for j in {l - m, -l - m} if j)
 
     def dissipative(m: int, l: int):
@@ -458,9 +460,7 @@ def return_fractions(rows: np.ndarray, k: int) -> list[float]:
 
 
 def transience_stats(params: WalkParams, n_paths: int,
-                     checkpoints: list[int],
-                     thresholds: tuple[int, ...] = (1, 10, 100)
-                     ) -> TransienceReport:
+                     checkpoints: list[int]) -> TransienceReport:
     """Monte Carlo transience diagnostics for the dissipative walk, reduced
     from a ``path_batch`` of ``transience_row``s."""
     if params.kind != "dissipative":
@@ -477,7 +477,7 @@ def transience_stats(params: WalkParams, n_paths: int,
     return TransienceReport(
         return_fraction=dict(zip(checkpoints, return_fractions(rows, k))),
         escape_fraction={t: {thr: int(np.count_nonzero(m >= thr)) / n_paths
-                             for thr in thresholds}
+                             for thr in _ESCAPE_THRESHOLDS}
                          for t, m in zip(checkpoints, rows[:, :k].T)},
         state_quantiles={t: {p: float(np.quantile(x, float(p[1:]) / 100))
                              for p in ("q05", "q25", "q50", "q75", "q95")}

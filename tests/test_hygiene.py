@@ -1,7 +1,8 @@
 """Every module under src/cantorwalk uses every name it imports, every
 CLI option is read by its subcommand, every exported name is used outside
-the tests, one function simulates path batches, and every function the
-bench tracer wraps still exists.
+the tests, one function simulates path batches, every memo is a capped
+``functools.lru_cache``, and every function the bench tracer wraps still
+exists.
 
 A stdlib-only stand-in for a linter's unused-import rule: a name counts as
 used when it is loaded anywhere in the module (annotations included) or,
@@ -9,8 +10,10 @@ in a package ``__init__``, listed in ``__all__``.
 """
 import argparse
 import ast
+import importlib
 import importlib.util
 import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -137,6 +140,62 @@ def test_engine_check_flags_a_second_loop():
     handed = ("def run(params, blocks):\n"
               "    return map(partial(_simulate_block, params), blocks)\n")
     assert batch_engines({"dim": handed}) == ({("dim", "run")}, set())
+
+
+# the module-level dicts and lists allowed: the export and criteria lists,
+# and geometry's exact H2 prefix sums, which grow one term at a time
+MODULE_CONTAINERS = {"__all__", "ALL_CRITERIA", "_H2_PREFIX", "_H2_LAST"}
+
+
+def memo_faults(modules) -> list[str]:
+    """The functools caches of ``modules`` and of their classes that have
+    no finite maxsize, and the module-level dicts and lists outside
+    MODULE_CONTAINERS, as "module.name"."""
+    faults = []
+    for module in modules:
+        for name, value in vars(module).items():
+            if name.startswith("__") and name != "__all__":
+                continue  # interpreter attributes: __builtins__, __path__
+            where = f"{module.__name__}.{name}"
+            if (isinstance(value, (dict, list))
+                    and name not in MODULE_CONTAINERS):
+                faults.append(where)
+            members = (vars(value).items() if inspect.isclass(value)
+                       else [("", value)])
+            for member, obj in members:
+                obj = getattr(obj, "__func__", obj)  # a static or class method
+                params = getattr(obj, "cache_parameters", None)
+                if params is not None and params()["maxsize"] is None:
+                    faults.append(where + (f".{member}" if member else ""))
+    return faults
+
+
+def test_every_memo_is_a_capped_lru_cache():
+    # one memo idiom: an lru_cache with a cap on the function that computes
+    # the value, keyed by what the value depends on; functools.cache has no
+    # cap, wherever it is applied
+    modules = [importlib.import_module(
+        "cantorwalk" if p.stem == "__init__" else f"cantorwalk.{p.stem}")
+        for p in sorted(SRC.glob("*.py"))]
+    assert memo_faults(modules) == []
+    unbounded = [p.name for p in SRC.glob("*.py")
+                 for node in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr == "cache"
+                 and getattr(node.value, "id", None) == "functools"]
+    assert unbounded == []
+
+
+def test_memo_check_flags_a_dict_and_an_uncapped_cache():
+    module = types.ModuleType("m")
+    exec("import functools\n"
+         "_TABLE = {}\n"
+         "__all__ = ['f']\n"
+         "f = functools.cache(abs)\n"
+         "g = functools.lru_cache(maxsize=4)(abs)\n"
+         "class A:\n"
+         "    h = staticmethod(functools.lru_cache(maxsize=None)(abs))\n",
+         vars(module))
+    assert memo_faults([module]) == ["m._TABLE", "m.f", "m.A.h"]
 
 
 def load_tracer():

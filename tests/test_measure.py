@@ -4,14 +4,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from cantorwalk import measure
 from cantorwalk.coding import AdmissibleWord, children
 from cantorwalk.geometry import _to_mpf
 from cantorwalk.measure import (
-    _POWER_CAP,
     MeasureParams,
     _kernel_power,
-    _power_table,
     ZetaDomainError,
     consistency_defect,
     cylinder_mass,
@@ -51,11 +48,11 @@ def test_zeta_against_partial_sum_oracle():
             pytest.approx(est, abs=2 * (tail_hi - tail_lo))
 
 
-def test_zeta_bits_are_pinned(monkeypatch):
+def test_zeta_bits_are_pinned():
     # the sampler tables read float(zeta(beta, 80)), so one changed bit
     # moves every stream; the digest was recorded before zeta's loop became
     # the power-tail engine, with an empty cache
-    monkeypatch.setattr(measure, "_ZETA_CACHE", {})
+    zeta.cache_clear()
     digest = hashlib.sha256()
     for s in (Fraction(51, 50), Fraction(6, 5), Fraction(3, 2),
               Fraction(9, 5), Fraction(1999, 1000), Fraction(999, 500),
@@ -65,6 +62,16 @@ def test_zeta_bits_are_pinned(monkeypatch):
             digest.update(repr(bits).encode())
     assert digest.hexdigest() == (
         "9ad1a5461b3dfe3f35b7e52c87b167b7dee837ea69e24c91cb686d992169b38a")
+
+
+def test_zeta_keys_by_value_not_by_printed_form():
+    # mpf(1.2), the float, and 6/5 at 300 bits both print "1.2"
+    zeta(mp.mpf(1.2), 256)
+    with mp.workprec(300):
+        b = mp.mpf(6) / 5
+    value = zeta(b, 256)
+    with mp.workprec(600):
+        assert abs(value - mp.zeta(b)) < mp.mpf(2) ** -256
 
 
 def test_zeta_bracket_contains_value():
@@ -287,23 +294,22 @@ def test_mass_varies_continuously_in_alpha():
 
 @pytest.mark.parametrize("bits", [64, 256])
 def test_memoised_kernel_powers_equal_direct_expression(bits):
-    ks = list(range(1, 60)) + [_POWER_CAP - 1, _POWER_CAP, _POWER_CAP + 1,
-                               10 ** 6, 10 ** 30]
-    with mp.workprec(bits):
-        for beta in (Fraction(51, 50), Fraction(6, 5), Fraction(3, 2),
-                     Fraction(9, 5), Fraction(2)):
+    ks = list(range(1, 60)) + [4095, 4096, 4097, 10 ** 6, 10 ** 30]
+    for beta in (Fraction(51, 50), Fraction(6, 5), Fraction(3, 2),
+                 Fraction(9, 5), Fraction(2)):
+        with mp.workprec(bits):
             b = _to_mpf(beta)
             direct = [(mp.mpf(k) ** -b)._mpf_ for k in ks]
-            for _ in range(2):  # filling the table, then reading it
-                assert [_kernel_power(k, b)._mpf_ for k in ks] == direct
+        for _ in range(2):  # filling the memo, then reading it
+            assert [_kernel_power(k, b._mpf_, bits)._mpf_
+                    for k in ks] == direct
 
 
 def test_kernel_power_tables_stay_within_their_caps():
     with mp.workprec(64):
-        for i in range(10):  # more exponents than tables
+        for i in range(9):  # more powers than the memo holds
             b = 1 + mp.mpf(i + 1) / 11
-            for k in range(1, (2 * _POWER_CAP if i == 0 else 20) + 1):
-                _kernel_power(k, b)
-            assert len(_power_table(b._mpf_, 64)) <= _POWER_CAP
-    info = _power_table.cache_info()
-    assert info.currsize <= info.maxsize == 8
+            for k in range(1, 4097):
+                _kernel_power(k, b._mpf_, 64)
+    info = _kernel_power.cache_info()
+    assert info.currsize == info.maxsize == 8 * 4096

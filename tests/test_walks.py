@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import threading
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import mpmath as mp
@@ -66,6 +68,15 @@ def test_sampler_sign_balance():
     assert np.array_equal(signed, np.trunc(signed))  # integer-valued
     frac_pos = float(np.mean(signed > 0))
     assert abs(frac_pos - 0.5) < 4 * (0.25 / n) ** 0.5
+
+
+def test_sampler_cache_is_shared_by_value_and_capped():
+    assert (ZetaJumpSampler.cached(B32) is ZetaJumpSampler.cached("3/2")
+            is ZetaJumpSampler.cached(1.5))
+    refs = [weakref.ref(ZetaJumpSampler.cached(Fraction(150 + i, 100)))
+            for i in range(20)]
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) <= 8
 
 
 def test_sampler_rejects_bad_beta():
@@ -607,11 +618,12 @@ def transience_oracle(params, n_paths, checkpoints, thresholds=(1, 10, 100)):
     ([1], (2, 1000, 10 ** 6)),
     ([], (1,)),
 ], ids=["decades", "unsorted", "one", "none"])
-def test_transience_stats_equals_the_per_path_loop(alpha, checkpoints,
-                                                   thresholds):
+def test_transience_stats_equals_the_per_path_loop(monkeypatch, alpha,
+                                                   checkpoints, thresholds):
+    monkeypatch.setattr(walks, "_ESCAPE_THRESHOLDS", thresholds)
     params = WalkParams(kind="dissipative", steps=2000, seed=31,
                         alpha=alpha)
-    rep = transience_stats(params, 37, checkpoints, thresholds)
+    rep = transience_stats(params, 37, checkpoints)
     assert rep == transience_oracle(params, 37, checkpoints, thresholds)
 
 
