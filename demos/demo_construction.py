@@ -36,7 +36,7 @@ print()
 print("half-filling check: left-block children of a word fill its left half")
 for text in ("", "1", "2,5"):
     w = AdmissibleWord.parse(text) if text else AdmissibleWord()
-    lo, hi, half = left_block_partition_bracket(w, 100000, 64)
+    lo, hi, half = left_block_partition_bracket(w, 100, 64)
     print(f"  word ({text or 'root'}): bracket [{float(lo):.12f},"
           f" {float(hi):.12f}] vs half = {float(half):.12f}")
 print()

@@ -7,7 +7,8 @@ from .coding import AdmissibleWord, children, is_admissible, step_arrays
 from .geometry import (CylinderGeometry, HoleGeometry, QPolynomial,
                        cylinder_interval, cylinder_length, hole, phi_apply)
 from .measure import (CylinderMass, MeasureParams, consistency_defect,
-                      cylinder_mass, transition_prob, zeta)
+                      cylinder_mass, transition_prob)
+from .tails import zeta
 from .walks import (WalkParams, WalkPath, folded_kernel_identity,
                     gamma_envelope_violations, increment_tail_prob,
                     simulate_path, transience_stats)

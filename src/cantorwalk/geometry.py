@@ -19,8 +19,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .coding import AdmissibleWord, step_arrays
-
-DEFAULT_PRECISION = 256
+from .tails import DEFAULT_PRECISION, _to_mpf, power_tail_bracket
 
 _H2_CAP = 1024
 _H2_PREFIX = [Fraction(0)]  # H2(0), H2(1), ... up to H2(_H2_CAP)
@@ -36,13 +35,6 @@ def q_value(precision: int = DEFAULT_PRECISION):
     """The construction constant q = 3/pi^2 = 1/(2 zeta(2)) as an mpf."""
     with mp.workprec(precision):
         return 3 / mp.pi ** 2
-
-
-def _to_mpf(s, ctx=mp):
-    """s as an mpf, or as an interval enclosure of it with ctx = mp.iv."""
-    if isinstance(s, Fraction):
-        return ctx.mpf(s.numerator) / s.denominator
-    return ctx.mpf(s)
 
 
 def decimal_str(x, precision: int) -> str:
@@ -226,37 +218,27 @@ def hole(word: AdmissibleWord) -> HoleGeometry:
     return cylinder_interval(word).hole()
 
 
-@functools.lru_cache(maxsize=4)
-def _h2_float(t: int, precision: int):
-    """H2(t) at ``precision`` bits, summed term by term."""
-    with mp.workprec(precision):
-        h = mp.mpf(0)
-        for l in range(1, t + 1):
-            h += mp.mpf(1) / (l * l)
-        return h
-
-
 def left_block_partition_bracket(word: AdmissibleWord, truncation: int,
                                  precision: int = DEFAULT_PRECISION):
     """Bracket for the total length of the left-block children of ``word``.
 
-    Returns (lo, hi, half) as mpf: the truncated child-length sum plus the
-    exact tail bracket 1/(L+1) < sum_{l>L} l^-2 < 1/L, against the exact
-    half-length |I_word|/2.  The construction fills the left half exactly,
-    so [lo, hi] must bracket ``half``.
+    Returns (lo, hi, half) as mpf: q*|I_word| times the exact H2(L) plus
+    ``power_tail_bracket``'s enclosure of sum_{l>L} l^-2, against the exact
+    half-length |I_word|/2.  All are evaluated at precision + 10 bits, so
+    their rounding stays far below the bracket's 2^-precision width.  The
+    construction fills the left half exactly, so [lo, hi] must bracket
+    ``half``.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     r, n = cylinder_length(word)
-    with mp.workprec(precision):
-        q = q_value(precision)
+    t_lo, t_hi = power_tail_bracket(2, truncation + 1, precision)
+    with mp.workprec(precision + 10):
+        q = q_value(precision + 10)
         length = _to_mpf(r) * q ** n
-        h = _h2_float(truncation, precision)
         base = q * length
-        lo = base * (h + mp.mpf(1) / (truncation + 1))
-        hi = base * (h + mp.mpf(1) / truncation)
-        half = length / 2
-    return lo, hi, half
+        h = _to_mpf(_h2(truncation))
+        return base * (h + t_lo), base * (h + t_hi), length / 2
 
 
 def _index(x, boundary, guess):
@@ -285,9 +267,15 @@ def _index(x, boundary, guess):
             raise PrecisionError("point too close to an accumulation point")
 
 
-# q = 3/pi^2 as an interval, per precision; call it at mp.iv.prec = precision
-_q_interval = functools.lru_cache(maxsize=4)(
-    lambda precision: mp.iv.mpf(3) / mp.iv.pi ** 2)
+@functools.lru_cache(maxsize=4)
+def _q_interval(precision: int):
+    """q = 3/pi^2 as an interval at ``precision`` bits."""
+    old = mp.iv.prec
+    try:
+        mp.iv.prec = precision
+        return mp.iv.mpf(3) / mp.iv.pi ** 2
+    finally:
+        mp.iv.prec = old
 
 
 def phi_apply(x, precision: int = DEFAULT_PRECISION):

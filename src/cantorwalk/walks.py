@@ -19,7 +19,6 @@ on its own.
 from __future__ import annotations
 
 import collections
-import copy
 import functools
 import os
 import threading
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import measure
 from .coding import step_arrays
-from .geometry import _to_mpf
+from .tails import _to_mpf, power_tail_bracket, zeta
 
 TABLE_SIZE = 1 << 16  # inverse-CDF table covers |jump| <= 2^16
 _GUIDE_SIZE = 1 << 16  # guide buckets; a power of two, so u * size is exact
@@ -99,7 +98,7 @@ class ZetaJumpSampler:
     def __init__(self, beta):
         self.beta = _jump_exponent(beta)
         self.beta_f = float(self.beta)
-        self.zeta_beta = float(measure.zeta(self.beta, 80))
+        self.zeta_beta = float(zeta(self.beta, 80))
         j = np.arange(1, TABLE_SIZE + 1, dtype=np.float64)
         pmf = j ** (-self.beta_f) / self.zeta_beta
         # the +inf sentinel sends u past the last entry to index TABLE_SIZE
@@ -225,36 +224,6 @@ class ZetaJumpSampler:
         out = self.sample_abs(rng, size)
         self._apply_signs(rng, out)
         return out
-
-    def signed_blocks(self, rng: np.random.Generator, size: int, block: int):
-        """Yield ``sample_signed(rng, size)`` as consecutive fresh arrays of
-        ``block`` jumps (the last may be shorter), in O(block) memory
-        besides the tail draws; once exhausted, ``rng`` is where
-        ``sample_signed`` leaves it.
-
-        The first pass draws the uniforms a block at a time only to count
-        the tail draws (u above the last table entry), then draws their
-        magnitudes from ``rng``.  The second pass replays the uniforms from
-        a copy of the generator taken before the first, looks them up,
-        drops the tail magnitudes in, and draws each block's signs from
-        ``rng``: the draws of ``sample_signed``, in its order.
-        """
-        replay = copy.deepcopy(rng)
-        last = self.cum[TABLE_SIZE - 1]
-        n_tail = 0
-        for lo in range(0, size, block):
-            u = rng.random(min(block, size - lo))
-            n_tail += int(np.count_nonzero(u > last))
-        tail_mags = self._sample_tail([rng], [n_tail])
-        t = 0
-        for lo in range(0, size, block):
-            out = replay.random(min(block, size - lo))
-            self._lookup(out)
-            tail = np.flatnonzero(out > TABLE_SIZE)
-            out[tail] = tail_mags[t:t + tail.size]
-            t += tail.size
-            self._apply_signs(rng, out)
-            yield out
 
 
 @functools.lru_cache(maxsize=8)
@@ -404,7 +373,7 @@ def _kernel_pair(beta: Fraction, precision: int):
     """
     with mp.workprec(precision):
         b = _to_mpf(beta)
-        two_z = 2 * measure.zeta(beta, precision)
+        two_z = 2 * zeta(beta, precision)
 
     def folded(m: int, l: int):
         return sum(measure._kernel_power(abs(j), b._mpf_, precision) / two_z
@@ -490,7 +459,7 @@ def increment_tail_prob(beta, gamma, n: int, precision: int = 256):
     """Rigorous bracket of P(|jump at step n| >= n^gamma), plus verdict.
 
     The probability is the power tail from ceil(n^gamma) over the one
-    from 1, both from ``measure.power_tail_bracket``.  Returns ((lo, hi),
+    from 1, both from ``tails.power_tail_bracket``.  Returns ((lo, hi),
     summable) where summable reports whether the series over n converges,
     i.e. gamma*(beta-1) > 1 (harmonic comparison at the boundary).
     """
@@ -500,8 +469,8 @@ def increment_tail_prob(beta, gamma, n: int, precision: int = 256):
     with mp.workprec(precision):
         g = _to_mpf(Fraction(gamma))
         threshold = int(mp.ceil(mp.mpf(n) ** g))
-        z_lo, z_hi = measure.power_tail_bracket(beta, 1, precision)
-        t_lo, t_hi = measure.power_tail_bracket(beta, threshold, precision)
+        z_lo, z_hi = power_tail_bracket(beta, 1, precision)
+        t_lo, t_hi = power_tail_bracket(beta, threshold, precision)
         lo = t_lo / z_hi
         hi = min(mp.mpf(1), t_hi / z_lo)
         return (lo, hi), _summable(beta, gamma)

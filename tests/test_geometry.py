@@ -19,7 +19,8 @@ from cantorwalk.geometry import (
     phi_apply,
     q_value,
 )
-from cantorwalk.measure import MeasureParams, transition_prob, zeta
+from cantorwalk.measure import MeasureParams, transition_prob
+from cantorwalk.tails import zeta
 
 # q = 3/pi^2 to 16 digits, checked against an unrelated route below
 Q_REF = 0.3039635509270133
@@ -364,6 +365,17 @@ def test_geometry_memos_stay_within_their_caps():
     for memo in (geometry._q_power, geometry._q_interval):
         info = memo.cache_info()
         assert info.currsize <= info.maxsize
+
+
+def test_q_interval_is_computed_at_its_key():
+    # keyed by precision, so computed at that precision whatever the
+    # ambient interval precision (53 bits by default) is
+    geometry._q_interval.cache_clear()
+    prec = mp.iv.prec
+    q = geometry._q_interval(200)
+    assert mp.iv.prec == prec
+    assert q.delta < mp.mpf(2) ** -190
+    assert float(q.mid) == pytest.approx(Q_REF, rel=1e-15)
 
 
 @pytest.mark.parametrize("t", [geometry._H2_CAP + 1, geometry._H2_CAP + 2,

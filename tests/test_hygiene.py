@@ -1,8 +1,9 @@
-"""Every module under src/cantorwalk uses every name it imports, every
-CLI option is read by its subcommand, every exported name is used outside
-the tests, one function simulates path batches, every memo is a capped
-``functools.lru_cache``, and every function the bench tracer wraps still
-exists.
+"""Every module under src/cantorwalk uses every name it imports, the
+power-tail module ``tails`` sits below every other module and ``geometry``
+below ``measure``, every CLI option is read by its subcommand, every
+exported name is used outside the tests, one function simulates path
+batches, every memo is a capped ``functools.lru_cache``, and every
+function the bench tracer wraps still exists.
 
 A stdlib-only stand-in for a linter's unused-import rule: a name counts as
 used when it is loaded anywhere in the module (annotations included) or,
@@ -54,6 +55,50 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     assert unused_imports("from dataclasses import dataclass, field\n"
                           "@dataclass\nclass A: pass\n") == ["field (line 1)"]
+
+
+def package_imports(source: str) -> set[str]:
+    """The cantorwalk modules that ``source`` imports, relatively or by
+    the package name ("cantorwalk" for the package itself)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            paths = [["cantorwalk"] + (node.module or "").split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            paths = [node.module.split(".")]
+        else:
+            continue
+        for path in paths:
+            if path[0] != "cantorwalk":
+                continue
+            if len(path) > 1 and path[1]:
+                out.add(path[1])
+            elif isinstance(node, ast.ImportFrom):
+                out |= {alias.name for alias in node.names}
+            else:
+                out.add("cantorwalk")
+    return out
+
+
+def test_tails_is_the_bottom_layer():
+    # geometry reads the power tail, and measure imports geometry, so the
+    # tail lives below both
+    assert package_imports((SRC / "tails.py").read_text()) == set()
+    assert "measure" not in package_imports((SRC / "geometry.py").read_text())
+
+
+def test_layer_check_flags_every_import_form():
+    source = ("from . import measure, walks\n"
+              "from .coding import step_arrays\n"
+              "from cantorwalk.tails import zeta\n"
+              "from cantorwalk import dimension\n"
+              "import cantorwalk.geometry\n"
+              "import numpy, mpmath as mp\n"
+              "from fractions import Fraction\n")
+    assert package_imports(source) == {"measure", "walks", "coding", "tails",
+                                       "dimension", "geometry"}
 
 
 def test_every_cli_option_is_read():

@@ -5,17 +5,14 @@ import mpmath as mp
 import pytest
 
 from cantorwalk.coding import AdmissibleWord, children
-from cantorwalk.geometry import _to_mpf
 from cantorwalk.measure import (
     MeasureParams,
     _kernel_power,
-    ZetaDomainError,
     consistency_defect,
     cylinder_mass,
-    power_tail_bracket,
     transition_prob,
-    zeta,
 )
+from cantorwalk.tails import ZetaDomainError, _to_mpf, power_tail_bracket, zeta
 
 
 def W(text):

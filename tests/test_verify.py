@@ -2,7 +2,8 @@
 one run simulates each frozen path batch exactly once, the batch engine
 ``walks.path_batch`` on the suite's rows, whose threaded branch must equal
 a serial loop at any CPU count and make every row in the calling thread,
-and the memory that the one-shot Monte Carlo criteria hold."""
+the memory that the one-shot Monte Carlo criteria hold, and a planted
+geometry defect that the partition criterion must catch."""
 import collections
 import os
 import sys
@@ -206,7 +207,7 @@ def test_path_law_draws_in_o_block_memory():
     verify.criterion_path_law(n_paths=100)  # sampler table and zeta caches
     small = traced_peak(verify.criterion_path_law, n_paths=10 ** 5)[1]
     res, peak = traced_peak(verify.criterion_path_law)
-    assert res.details == {"cells": 90, "worst_z": 2.2505156104240145}
+    assert res.details == {"cells": 90, "worst_z": 2.456714014224065}
     assert abs(peak - small) < 2 ** 20
 
 
@@ -222,6 +223,23 @@ def test_kernel_empirical_draws_in_o_block_memory():
 def test_kernel_empirical_details_are_pinned():
     # |m + L| is formed in place from the signed draws
     res = verify.criterion_kernel_empirical(n_samples=10 ** 5)
-    assert res.details == {"worst_z": 2.273002737770528, "per_state": {
-        0: 1.5603192990602126, 1: 1.839439314259383, 2: 1.5927939577044883,
-        5: 2.273002737770528, 20: 1.3427902438624875}}
+    assert res.details == {"worst_z": 2.293933018285597, "per_state": {
+        0: 1.3695680534887904, 1: 1.3118282893870774, 2: 0.8808106981432735,
+        5: 2.293933018285597, 20: 1.4976532930327502}}
+
+
+def test_partition_catches_tripled_length_denominators(monkeypatch):
+    # every child length q*|parent|/d^2 shrunk ninefold leaves the
+    # half-filling ratio intact, since |I_word| cancels from it; the
+    # children no longer abut
+    step_arrays = verify.geometry.step_arrays
+
+    def tripled(prev, nxt):
+        d, s = step_arrays(prev, nxt)
+        return 3 * d, s
+
+    assert verify.criterion_partition(n_words=50).passed
+    monkeypatch.setattr(verify.geometry, "step_arrays", tripled)
+    res = verify.criterion_partition(n_words=50)
+    assert not res.passed
+    assert res.details["failures"]

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from cantorwalk import walks
-from cantorwalk.measure import MeasureParams, transition_prob, zeta
+from cantorwalk.measure import MeasureParams, transition_prob
+from cantorwalk.tails import zeta
 from cantorwalk.walks import (
     _BLOCK_STEPS,
     _CHUNK,
@@ -202,34 +203,6 @@ def test_sample_tail_draws_the_oracle_stream(beta):
         assert (sampler._sample_tail([rng], [size]).tobytes()
                 == oracle_sample_tail(sampler, ref, size).tobytes())
         assert rng.random() == ref.random()
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("beta", STREAM_BETAS)
-@pytest.mark.parametrize("block", [5, _CHUNK + 3])
-def test_signed_blocks_are_sample_signed_in_blocks(beta, block):
-    sampler = ZetaJumpSampler.cached(beta)
-    for size in (1, block - 1, block, block + 1, 3 * block + 5):
-        rng, ref = path_rng(41, size), path_rng(41, size)
-        blocks = list(sampler.signed_blocks(rng, size, block))
-        assert [b.size for b in blocks] == [
-            min(block, size - lo) for lo in range(0, size, block)]
-        assert (np.concatenate(blocks).tobytes()
-                == sampler.sample_signed(ref, size).tobytes())
-        # odd sizes leave PCG64's spare 32-bit half for the next draw
-        assert rng.integers(0, 2 ** 32) == ref.integers(0, 2 ** 32)
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("beta", STREAM_BETAS)
-def test_successive_odd_block_calls_keep_the_stream(beta):
-    sampler = ZetaJumpSampler.cached(beta)
-    rng, ref = path_rng(43, 1), path_rng(43, 1)
-    for size, block in ((3, 2), (_CHUNK + 7, 1001), (1, 1),
-                        (2 * _CHUNK + 1, _CHUNK), (5, 3)):
-        got = np.concatenate(list(sampler.signed_blocks(rng, size, block)))
-        assert got.tobytes() == sampler.sample_signed(ref, size).tobytes()
-    assert rng.integers(0, 2 ** 32) == ref.integers(0, 2 ** 32)
 
 
 class Scripted:
